@@ -84,7 +84,7 @@ SideMetrics RunSide(const engine::Circuit& circuit, const engine::TransientSpec&
   m.pattern_nnz = mna.nnz();
 
   // Real factor fill for the flop model: assemble one transient-like iterate
-  // and factor it, exactly as bench_partition calibrates its baseline.
+  // and factor it.
   engine::SolveContext ctx(circuit, mna);
   for (std::size_t i = 0; i < ctx.x.size(); ++i) {
     ctx.x[i] = 0.6 * std::sin(0.41 * static_cast<double>(i) + 0.2);

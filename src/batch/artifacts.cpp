@@ -32,16 +32,10 @@ SharedAnalysisArtifacts BuildSharedArtifacts(const engine::Circuit& circuit,
       const sparse::SparseLu::Stats& stats = ctx.lu.stats();
       artifacts.factor_nnz = stats.nnz_l + stats.nnz_u;
       artifacts.factor_flops = stats.factor_flops;
-      artifacts.factor_levels = stats.factor_levels;
     } catch (const SingularMatrixError&) {
       // Ordering may still have been published before the pivot failure;
       // either way the bundle stays usable.
     }
-  }
-
-  if (options.partition_pieces > 0) {
-    artifacts.partition_plan =
-        partition::PartitionPattern(structure.pattern(), options.partition_pieces);
   }
 
   artifacts.coloring = std::make_shared<const parallel::ColorSchedule>(
@@ -55,7 +49,6 @@ SharedAnalysisArtifacts BuildSharedArtifacts(const engine::Circuit& circuit,
 void AttachArtifacts(engine::SimOptions& options,
                      const SharedAnalysisArtifacts& artifacts) {
   options.ordering_cache = artifacts.ordering_cache.get();
-  options.partition_plan = artifacts.partition_plan;
 }
 
 }  // namespace wavepipe::batch

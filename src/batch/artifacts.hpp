@@ -7,11 +7,7 @@
 // pure functions of that pattern:
 //
 //   * the fill-reducing column ordering  (sparse/ordering_cache.hpp)
-//   * the BBD partition plan             (partition::PartitionPattern)
 //   * the assembly color schedule        (parallel::BuildColorSchedule)
-//   * the level schedules                (rebuilt per factor from the
-//                                         ordering — sharing the ordering
-//                                         shares them transitively)
 //
 // The bundle is built once from a prototype variant and handed to every
 // runner thread.  Determinism contract: an OrderingCache hit returns the
@@ -29,7 +25,6 @@
 #include "engine/mna.hpp"
 #include "engine/options.hpp"
 #include "parallel/coloring.hpp"
-#include "partition/partitioner.hpp"
 #include "sparse/ordering_cache.hpp"
 
 namespace wavepipe::batch {
@@ -38,8 +33,6 @@ struct SharedAnalysisArtifacts {
   /// Pre-warmed with the prototype's ordering; attached to every variant's
   /// SparseLu via SimOptions::ordering_cache.
   std::shared_ptr<sparse::OrderingCache> ordering_cache;
-  /// Non-null only when SimOptions::partition_pieces > 0.
-  std::shared_ptr<const sparse::BbdPlan> partition_plan;
   /// Conflict-free assembly schedule of the shared topology (device indices
   /// are position-stable across variants because every variant elaborates
   /// the same element list).
@@ -51,7 +44,6 @@ struct SharedAnalysisArtifacts {
   std::uint64_t pattern_hash = 0;
   std::size_t factor_nnz = 0;        ///< |L| + |U| of the prototype factor
   std::uint64_t factor_flops = 0;    ///< multiply-adds of one full factor
-  int factor_levels = 0;             ///< refactor DAG depth (level schedule)
   double build_seconds = 0.0;        ///< one-time bundle construction cost
 
   /// True once Build() ran (the prototype factor may fail on a deliberately
@@ -60,15 +52,14 @@ struct SharedAnalysisArtifacts {
 };
 
 /// Builds the bundle from a prototype circuit: computes the ordering by
-/// factoring the DC-stamped prototype matrix through the shared cache,
-/// partitions the pattern when options ask for pieces, and colors the
-/// device-conflict graph.  Never throws on a singular prototype — the
-/// ordering facts are simply left at zero.
+/// factoring the DC-stamped prototype matrix through the shared cache, and
+/// colors the device-conflict graph.  Never throws on a singular prototype —
+/// the ordering facts are simply left at zero.
 SharedAnalysisArtifacts BuildSharedArtifacts(const engine::Circuit& circuit,
                                              const engine::MnaStructure& structure,
                                              const engine::SimOptions& options);
 
-/// Points `options` at the bundle (ordering cache + partition plan).
+/// Points `options` at the bundle's ordering cache.
 void AttachArtifacts(engine::SimOptions& options,
                      const SharedAnalysisArtifacts& artifacts);
 

@@ -108,8 +108,8 @@ BatchResult RunBatch(const netlist::ParsedNetlist& base, const BatchOptions& opt
       ExpandVariants(result.plan, base, options.mc_seed);
 
   // Shared symbolic artifacts from the prototype (variant 0).  Every variant
-  // shares the sparsity pattern — only values differ — so the ordering,
-  // partition plan and coloring computed here serve them all.  A prototype
+  // shares the sparsity pattern — only values differ — so the ordering and
+  // coloring computed here serve them all.  A prototype
   // that will not elaborate is a whole-batch error, surfaced immediately.
   if (options.share_artifacts) {
     const netlist::ParsedNetlist proto_deck = ApplyVariant(base, variants.front());

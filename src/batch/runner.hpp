@@ -1,7 +1,6 @@
 // Batch sweep runner: expand the variant grid of a deck (.param / .step /
 // .mc), execute every variant on a thread pool, and share the per-pattern
-// symbolic artifacts (fill-reducing ordering, BBD partition plan, coloring)
-// across all of them.
+// symbolic artifacts (fill-reducing ordering, coloring) across all of them.
 //
 // Determinism contract: a variant's waveform is a pure function of its
 // VariantSpec — never of pool size, scheduling order, or which variant ran

@@ -39,14 +39,11 @@ GeneratedCircuit MakeRcMesh(int rows, int cols, unsigned seed = 1,
                             double r_ohm = 10.0, double c_farad = 0.5e-12,
                             int num_loads = -1);
 
-/// Power-delivery grid at partitioning scale: an RC mesh with a tighter
-/// resistive fabric (1 ohm segments), 1 pF decap per node and one switching
-/// load per ~256 nodes.  Same topology as MakeRcMesh, renamed and re-tuned
-/// so domain-decomposition experiments can ask for "powergrid3200x32"
-/// (102,400 unknowns) without disturbing the rcmesh benchmark points.
-/// Elongated aspect ratios (rows >> cols) keep the row-major numbering's
-/// natural stripe separators `cols` wide, which is what makes the
-/// interface block small relative to the pieces.
+/// Power-delivery grid: an RC mesh with a tighter resistive fabric (1 ohm
+/// segments), 1 pF decap per node and one switching load per ~256 nodes.
+/// Same topology as MakeRcMesh, renamed and re-tuned so large linear-grid
+/// experiments (the measured benchmark's 64x64 powergrid) do not disturb
+/// the rcmesh benchmark points.
 GeneratedCircuit MakePowerGrid(int rows, int cols, unsigned seed = 1);
 
 /// N-stage (odd) CMOS ring oscillator with explicit load capacitors and a

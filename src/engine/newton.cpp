@@ -51,8 +51,7 @@ void SolveContext::RecordFactorSeeds(FactorSeeds& seeds, bool did_full_factor) {
   if (did_full_factor || seeds.full.empty()) seeds.full = seeds.numeric;
 }
 
-void SolveContext::PrimeFactorsFromSeeds(const FactorSeeds& lu_from,
-                                         const FactorSeeds& bbd_from) {
+void SolveContext::PrimeFactorsFromSeeds(const FactorSeeds& lu_from) {
   const auto load = [this](std::span<const double> values) {
     WP_ASSERT(values.size() == matrix.values().size());
     std::copy(values.begin(), values.end(), matrix.mutable_values().begin());
@@ -67,15 +66,6 @@ void SolveContext::PrimeFactorsFromSeeds(const FactorSeeds& lu_from,
       if (!lu.Refactor(matrix)) lu.Factor(matrix);
     }
     lu_seeds = lu_from;
-  }
-  if (bbd_from.valid() && bbd.configured()) {
-    load(bbd_from.full);
-    bbd.FactorOrRefactor(matrix, factor_pool);
-    if (bbd_from.numeric != bbd_from.full) {
-      load(bbd_from.numeric);
-      bbd.FactorOrRefactor(matrix, factor_pool);
-    }
-    bbd_seeds = bbd_from;
   }
   matrix.ZeroValues();
 }
@@ -156,10 +146,8 @@ ChordPolicy::ChordPolicy(SolveContext& ctx, const NewtonInputs& inputs,
       options_(&options),
       a0_(inputs.a0),
       prev_worst_(std::numeric_limits<double>::infinity()) {
-  // Chord reuse targets ctx.lu; under the BBD path that factor is idle, so
-  // chord disables itself rather than solve against a never-refreshed LU.
   enabled_ = options.chord_newton && inputs.damping >= 1.0 &&
-             inputs.gshunt == 0.0 && inputs.nodeset_g == 0.0 && !ctx.partition_active();
+             inputs.gshunt == 0.0 && inputs.nodeset_g == 0.0;
   // Adaptive attempt gate: a solve inside a backoff window never tries chord
   // steps (it still refreshes the factor snapshot for later reuse).
   allowed_ = enabled_;
@@ -337,40 +325,14 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
       // iterate — only the path there changes, never the accepted solution.
       WP_TSPAN("solve", "chord_step");
       std::copy(ctx.x.begin(), ctx.x.end(), ctx.x_new.begin());
-      ctx.lu.ChordStep(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work,
-                       ctx.factor_pool);
-    } else if (ctx.partition_active()) {
-      // Bordered-block-diagonal path: per-piece parallel factors + Schur
-      // interface coupling on ctx.factor_pool.  Same failure contract as the
-      // monolithic branch — a singular piece/interface pivot becomes a failed
-      // solve the step-shrink / rescue ladder handles.
-      const auto before_full = ctx.bbd.stats().full_factor_count;
-      const auto before_re = ctx.bbd.stats().refactor_count;
-      try {
-        WP_TSPAN("factor", "bbd_factor");
-        ctx.bbd.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
-      } catch (const SingularMatrixError&) {
-        stats.converged = false;
-        stats.singular = true;
-        stats.final_delta = std::numeric_limits<double>::infinity();
-        chord.Settle(false);
-        return stats;
-      }
-      stats.lu_full_factors +=
-          static_cast<int>(ctx.bbd.stats().full_factor_count - before_full);
-      stats.lu_refactors += static_cast<int>(ctx.bbd.stats().refactor_count - before_re);
-      ctx.RecordFactorSeeds(ctx.bbd_seeds,
-                            ctx.bbd.stats().full_factor_count != before_full);
-
-      std::copy(ctx.rhs.begin(), ctx.rhs.end(), ctx.x_new.begin());
-      ctx.bbd.Solve(ctx.x_new, ctx.factor_pool);
+      ctx.lu.ChordStep(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work);
     } else {
       const auto before_factor = ctx.lu.stats().factor_count;
       const auto before_refactor = ctx.lu.stats().refactor_count;
       chord.NoteFactorAttempt();
       try {
         WP_TSPAN("factor", "lu_factor");
-        ctx.lu.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
+        ctx.lu.FactorOrRefactor(ctx.matrix);
       } catch (const SingularMatrixError&) {
         // A singular pivot at this trial point is reported as a failed solve,
         // not an unwound simulation: the caller shrinks the step or climbs the
@@ -389,7 +351,7 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
 
       WP_TSPAN("solve", "triangular_solve");
       std::copy(ctx.rhs.begin(), ctx.rhs.end(), ctx.x_new.begin());
-      ctx.lu.SolveParallel(ctx.x_new, ctx.lu_work, ctx.factor_pool);
+      ctx.lu.Solve(ctx.x_new, ctx.lu_work);
       for (int r = 0; r < options.newton_refine_steps; ++r) {
         ctx.lu.Refine(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work);
       }

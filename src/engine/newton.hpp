@@ -14,15 +14,11 @@
 #include "engine/circuit.hpp"
 #include "engine/mna.hpp"
 #include "engine/options.hpp"
-#include "sparse/bbd.hpp"
 #include "sparse/lu.hpp"
 
-namespace wavepipe::util {
-class ThreadPool;
-namespace telemetry {
+namespace wavepipe::util::telemetry {
 class CounterRegistry;
-}
-}  // namespace wavepipe::util
+}  // namespace wavepipe::util::telemetry
 
 namespace wavepipe::engine {
 
@@ -218,36 +214,17 @@ class SolveContext {
     bypass.Configure(*circuit_, *structure_, options);
   }
 
-  /// Routes this context's linear solves through the bordered-block-diagonal
-  /// solver (sparse/bbd.hpp) built for `plan`.  Drivers compute one plan per
-  /// run (partition::PartitionPattern) and hand the same shared plan to every
-  /// context, so WavePipe workers don't re-partition.  Never called with the
-  /// default options — the monolithic ctx.lu path stays bit-identical.
-  void ConfigurePartition(std::shared_ptr<const sparse::BbdPlan> plan) {
-    bbd.Configure(std::move(plan), structure_->pattern());
-  }
-
-  /// True when linear solves go through the BBD path instead of ctx.lu.
-  bool partition_active() const { return bbd.configured() && !partition_disengaged_; }
-
-  /// Circuit-breaker hooks (engine/resilience.hpp): park/resume the BBD path
-  /// without discarding the plan.  While disengaged, SolveNewton falls back
-  /// to the bit-identical monolithic ctx.lu path; bbd.configured() still
-  /// reports true so end-of-run stats absorption keeps its partition block.
-  void DisengagePartition() { partition_disengaged_ = true; }
-  void ReengagePartition() { partition_disengaged_ = false; }
-
   /// Captures the current Jacobian values as factor-replay seeds after a
   /// successful factorization (no-op unless record_factor_seeds is set by an
   /// engine with checkpointing engaged — the default path pays nothing).
   void RecordFactorSeeds(FactorSeeds& seeds, bool did_full_factor);
 
-  /// Checkpoint-resume priming: replays the stored seeds through the
-  /// monolithic and/or BBD solvers so their state is bit-identical to the
-  /// interrupted process at the snapshot boundary.  Leaves ctx.matrix
-  /// zeroed; copies the seeds into lu_seeds/bbd_seeds so a resumed run that
-  /// checkpoints again before its first factorization stays replayable.
-  void PrimeFactorsFromSeeds(const FactorSeeds& lu_from, const FactorSeeds& bbd_from);
+  /// Checkpoint-resume priming: replays the stored seeds through ctx.lu so
+  /// its state is bit-identical to the interrupted process at the snapshot
+  /// boundary.  Leaves ctx.matrix zeroed; copies the seeds into lu_seeds so
+  /// a resumed run that checkpoints again before its first factorization
+  /// stays replayable.
+  void PrimeFactorsFromSeeds(const FactorSeeds& lu_from);
 
   // Workspaces (public by design: the Newton loop, the DC continuation and
   // the integrators all operate on them directly).
@@ -259,25 +236,12 @@ class SolveContext {
   std::vector<double> state_hist;  ///< integrator history term per state
   std::vector<double> limit_a, limit_b;
   sparse::SparseLu lu;
-  /// Partitioned (BBD) linear solver; engaged via ConfigurePartition().
-  /// When configured, SolveNewton routes factor/solve through it (on
-  /// factor_pool) and ctx.lu sits idle; chord Newton disables itself.
-  sparse::BbdSolver bbd;
   std::vector<double> lu_work;  ///< per-context Solve() scratch (thread-safe LU)
   std::vector<double> refine_work;  ///< residual scratch for iterative refinement
 
   /// Optional assembly strategy; null = serial device loop.  Not owned — the
   /// creator (fine-grained evaluator, WavePipe driver) keeps it alive.
   DeviceAssembler* assembler = nullptr;
-
-  /// Optional worker pool for level-scheduled refactorization / triangular
-  /// solves inside SolveNewton (RefactorParallel / SolveParallel).  Null =
-  /// serial LU kernels.  Not owned; the pool may be shared with the colored
-  /// assembler — assembly and factorization never overlap within one Newton
-  /// iteration, so sharing is free.  Must be a pool whose workers do not
-  /// themselves block on this context (WavePipe gives pipeline workers a
-  /// separate intra-solve pool for exactly this reason).
-  util::ThreadPool* factor_pool = nullptr;
 
   /// Device latency bypass (engine/bypass.hpp).  Inactive unless
   /// ConfigureAcceleration() was called with device_bypass set; both the
@@ -291,7 +255,6 @@ class SolveContext {
   /// Factor-replay seeds for checkpoint/restart (engine/resilience.hpp).
   /// Maintained by SolveNewton only while record_factor_seeds is set.
   FactorSeeds lu_seeds;
-  FactorSeeds bbd_seeds;
   bool record_factor_seeds = false;
 
   std::uint64_t total_newton_iterations = 0;  ///< lifetime counter
@@ -303,7 +266,6 @@ class SolveContext {
   std::atomic<std::uint64_t> heartbeat{0};
 
  private:
-  bool partition_disengaged_ = false;  ///< breaker parked the BBD path
   const Circuit* circuit_;
   const MnaStructure* structure_;
 };

@@ -3,12 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace wavepipe::sparse {
 class OrderingCache;  // sparse/ordering_cache.hpp
-struct BbdPlan;       // sparse/bbd.hpp
 }  // namespace wavepipe::sparse
 
 namespace wavepipe::engine {
@@ -53,10 +51,9 @@ struct ResilienceOptions {
   int watchdog_stall_intervals = 3;
 
   // ---- feature circuit-breakers --------------------------------------------
-  /// Per-feature failure EWMAs (chord, bypass, partition, parallel factor,
-  /// parallel assembly) that degrade a misbehaving accelerated path to the
-  /// bit-identical monolithic serial path, with a half-open re-probe after a
-  /// cooldown.  Enabled by default: on a healthy run no breaker ever trips,
+  /// Per-feature failure EWMAs (chord, bypass, parallel assembly) that
+  /// degrade a misbehaving accelerated path to the bit-identical serial
+  /// path, with a half-open re-probe after a cooldown.  Enabled by default: on a healthy run no breaker ever trips,
   /// and with every feature off there is nothing to degrade — the default
   /// path is untouched.
   bool breakers = true;
@@ -159,14 +156,6 @@ struct SimOptions {
   /// behavior; 1 is plenty for ill-conditioned MNA systems.
   int newton_refine_steps = 0;
 
-  // ---- domain decomposition -------------------------------------------------
-  /// Bordered-block-diagonal solve path: partition the unknowns into this
-  /// many pieces (vertex-separator plan from src/partition), factor/solve
-  /// the pieces in parallel and couple them through a Schur complement on
-  /// the interface.  0 (default) keeps the monolithic LU path bit-identical
-  /// to historical behavior; values are clamped to the system dimension.
-  int partition_pieces = 0;
-
   // ---- latency bypass & chord Newton ---------------------------------------
   /// Device latency bypass (SPICE-style): cache each bypassable device's
   /// stamped Jacobian/RHS contributions and replay them while its controlling
@@ -220,12 +209,6 @@ struct SimOptions {
   /// instance would have computed itself, so results stay bit-identical.
   /// Not owned; null (default) keeps the historical private-cache behavior.
   sparse::OrderingCache* ordering_cache = nullptr;
-  /// Precomputed BBD partition plan (partition::PartitionPattern) reused
-  /// instead of re-partitioning when partition_pieces > 0.  The plan is a
-  /// pure function of the sparsity pattern, so sharing one across variants
-  /// of a common pattern changes nothing numerically.  Null (default) lets
-  /// each run compute its own.
-  std::shared_ptr<const sparse::BbdPlan> partition_plan;
 };
 
 }  // namespace wavepipe::engine

@@ -33,22 +33,6 @@ void WriteStats(ByteWriter& w, const TransientStats& s) {
   w.U64(s.bypass_auto_disables);
   w.F64(s.wall_seconds);
   w.Str(s.dcop_strategy);
-  w.I64(s.factor_levels);
-  w.U64(s.factor_widest_level);
-  w.F64(s.modeled_refactor_speedup2);
-  w.F64(s.modeled_refactor_speedup4);
-  w.U64(s.lu_parallel_refactors);
-  w.U64(s.lu_refactor_fallbacks);
-  w.U64(s.lu_parallel_solves);
-  w.I64(s.partition_pieces);
-  w.U64(s.partition_interface_size);
-  w.F64(s.partition_piece_imbalance);
-  w.U64(s.partition_full_factors);
-  w.U64(s.partition_refactors);
-  w.U64(s.partition_solves);
-  w.U64(s.partition_schur_factors);
-  w.U64(s.partition_schur_nnz);
-  w.F64(s.partition_schur_seconds);
 }
 
 TransientStats ReadStats(ByteReader& r) {
@@ -68,22 +52,6 @@ TransientStats ReadStats(ByteReader& r) {
   s.bypass_auto_disables = r.U64();
   s.wall_seconds = r.F64();
   s.dcop_strategy = r.Str();
-  s.factor_levels = static_cast<int>(r.I64());
-  s.factor_widest_level = r.U64();
-  s.modeled_refactor_speedup2 = r.F64();
-  s.modeled_refactor_speedup4 = r.F64();
-  s.lu_parallel_refactors = r.U64();
-  s.lu_refactor_fallbacks = r.U64();
-  s.lu_parallel_solves = r.U64();
-  s.partition_pieces = static_cast<int>(r.I64());
-  s.partition_interface_size = r.U64();
-  s.partition_piece_imbalance = r.F64();
-  s.partition_full_factors = r.U64();
-  s.partition_refactors = r.U64();
-  s.partition_solves = r.U64();
-  s.partition_schur_factors = r.U64();
-  s.partition_schur_nnz = r.U64();
-  s.partition_schur_seconds = r.F64();
   return s;
 }
 
@@ -93,8 +61,6 @@ const char* FeatureName(Feature feature) {
   switch (feature) {
     case Feature::kChord: return "chord";
     case Feature::kBypass: return "bypass";
-    case Feature::kPartition: return "partition";
-    case Feature::kParallelFactor: return "parallel_factor";
     case Feature::kParallelAssembly: return "parallel_assembly";
   }
   return "?";
@@ -127,7 +93,6 @@ std::vector<std::uint8_t> SerializeCheckpoint(const TransientCheckpoint& ckpt) {
   ByteWriter w;
   w.Str(ckpt.engine);
   w.Str(ckpt.scheme);
-  w.I64(ckpt.partition_pieces);
   w.U64(ckpt.num_unknowns);
   w.U64(ckpt.num_probes);
   w.F64(ckpt.tstop);
@@ -188,14 +153,10 @@ std::vector<std::uint8_t> SerializeCheckpoint(const TransientCheckpoint& ckpt) {
 
   w.DoubleVec(ckpt.lu_seed_full);
   w.DoubleVec(ckpt.lu_seed_numeric);
-  w.DoubleVec(ckpt.bbd_seed_full);
-  w.DoubleVec(ckpt.bbd_seed_numeric);
   w.U64(ckpt.context_seeds.size());
   for (const auto& seeds : ckpt.context_seeds) {
     w.DoubleVec(seeds.lu_full);
     w.DoubleVec(seeds.lu_numeric);
-    w.DoubleVec(seeds.bbd_full);
-    w.DoubleVec(seeds.bbd_numeric);
   }
   return w.Take();
 }
@@ -205,7 +166,6 @@ TransientCheckpoint DeserializeCheckpoint(std::span<const std::uint8_t> payload)
   TransientCheckpoint ckpt;
   ckpt.engine = r.Str();
   ckpt.scheme = r.Str();
-  ckpt.partition_pieces = r.I64();
   ckpt.num_unknowns = r.U64();
   ckpt.num_probes = r.U64();
   ckpt.tstop = r.F64();
@@ -276,16 +236,12 @@ TransientCheckpoint DeserializeCheckpoint(std::span<const std::uint8_t> payload)
   ckpt.trace_values = r.DoubleVec();
   ckpt.lu_seed_full = r.DoubleVec();
   ckpt.lu_seed_numeric = r.DoubleVec();
-  ckpt.bbd_seed_full = r.DoubleVec();
-  ckpt.bbd_seed_numeric = r.DoubleVec();
   const std::uint64_t ctx_seeds_n = r.U64();
   ckpt.context_seeds.reserve(ctx_seeds_n);
   for (std::uint64_t i = 0; i < ctx_seeds_n; ++i) {
     CheckpointContextSeeds seeds;
     seeds.lu_full = r.DoubleVec();
     seeds.lu_numeric = r.DoubleVec();
-    seeds.bbd_full = r.DoubleVec();
-    seeds.bbd_numeric = r.DoubleVec();
     ckpt.context_seeds.push_back(std::move(seeds));
   }
   if (!r.AtEnd()) {
@@ -307,9 +263,8 @@ TransientCheckpoint LoadCheckpoint(const std::string& path_base) {
 }
 
 void ValidateResume(const TransientCheckpoint& ckpt, const std::string& engine,
-                    const std::string& scheme, std::int64_t partition_pieces,
-                    std::uint64_t num_unknowns, std::uint64_t num_probes,
-                    double tstop) {
+                    const std::string& scheme, std::uint64_t num_unknowns,
+                    std::uint64_t num_probes, double tstop) {
   std::string mismatches;
   const auto mismatch = [&mismatches](const std::string& field, const std::string& have,
                                       const std::string& want) {
@@ -318,10 +273,6 @@ void ValidateResume(const TransientCheckpoint& ckpt, const std::string& engine,
   };
   if (ckpt.engine != engine) mismatch("engine", ckpt.engine, engine);
   if (ckpt.scheme != scheme) mismatch("scheme", ckpt.scheme, scheme);
-  if (ckpt.partition_pieces != partition_pieces) {
-    mismatch("partition_pieces", std::to_string(ckpt.partition_pieces),
-             std::to_string(partition_pieces));
-  }
   if (ckpt.num_unknowns != num_unknowns) {
     mismatch("num_unknowns", std::to_string(ckpt.num_unknowns),
              std::to_string(num_unknowns));

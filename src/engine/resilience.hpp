@@ -2,7 +2,7 @@
 //
 //  * TransientCheckpoint  — the complete resumable state of a transient run
 //    (history ring, step control, accepted trace, stats, pipeline scheduler
-//    state), serialized to the `wavepipe.ckpt.v1` format of
+//    state), serialized to the `wavepipe.ckpt` container format of
 //    util/checkpoint.hpp.  A run resumed from a checkpoint taken at an
 //    accepted-step (serial/fine-grained) or round (pipeline) boundary
 //    continues bit-identically: those boundaries are exactly the points where
@@ -16,9 +16,8 @@
 //  * StallWatchdog        — monitor thread over cheap heartbeat counters;
 //    no-progress intervals escalate checkpoint -> abort.
 //  * BreakerBoard         — per-feature circuit-breakers that degrade a
-//    misbehaving accelerated path (chord, bypass, partition, parallel
-//    factor/assembly) to the bit-identical monolithic serial path, with a
-//    half-open re-probe after a cooldown.
+//    misbehaving accelerated path (chord, bypass, parallel assembly) to the
+//    bit-identical serial path, with a half-open re-probe after a cooldown.
 //
 // Everything is a strict no-op unless the corresponding ResilienceOptions
 // field engages it — the default run spawns no threads, writes no files, and
@@ -73,15 +72,12 @@ struct CheckpointLedgerRecord {
 struct CheckpointContextSeeds {
   std::vector<double> lu_full;
   std::vector<double> lu_numeric;
-  std::vector<double> bbd_full;
-  std::vector<double> bbd_numeric;
 };
 
 struct TransientCheckpoint {
   // --- run fingerprint: a resume refuses to continue a DIFFERENT run -------
   std::string engine;   ///< "serial" | "fine-grained" | "pipeline"
   std::string scheme;   ///< pipeline scheme name; empty otherwise
-  std::int64_t partition_pieces = 0;
   std::uint64_t num_unknowns = 0;
   std::uint64_t num_probes = 0;
   double tstop = 0.0;
@@ -118,15 +114,13 @@ struct TransientCheckpoint {
   std::vector<double> trace_values;  ///< row-major sample x probe
 
   // --- linear-solver replay seeds (see FactorSeeds in engine/newton.hpp) ---
-  // Empty when the corresponding solver never factored.  Replayed at resume
+  // Empty when the solver never factored.  Replayed at resume
   // so the first post-resume solve REFACTORS exactly like the uninterrupted
   // run instead of full-factoring with a different summation order.
   std::vector<double> lu_seed_full;
   std::vector<double> lu_seed_numeric;
-  std::vector<double> bbd_seed_full;
-  std::vector<double> bbd_seed_numeric;
   /// Per-context replay seeds for the pipeline engine (one block per
-  /// SolveContext slot — each slot keeps its own LU/BBD numeric state, and
+  /// SolveContext slot — each slot keeps its own LU numeric state, and
   /// bit-identity needs every slot to refactor post-resume exactly as the
   /// uninterrupted run would have).  Empty for the single-context engines,
   /// which use the flat fields above.
@@ -146,12 +140,11 @@ TransientCheckpoint DeserializeCheckpoint(std::span<const std::uint8_t> payload)
 TransientCheckpoint LoadCheckpoint(const std::string& path_base);
 
 /// Verifies a resume checkpoint matches the run being started (engine,
-/// scheme, partitioning, dimensions, horizon); throws util::CheckpointError
-/// with a field-by-field message on mismatch.
+/// scheme, dimensions, horizon); throws util::CheckpointError with a
+/// field-by-field message on mismatch.
 void ValidateResume(const TransientCheckpoint& ckpt, const std::string& engine,
-                    const std::string& scheme, std::int64_t partition_pieces,
-                    std::uint64_t num_unknowns, std::uint64_t num_probes,
-                    double tstop);
+                    const std::string& scheme, std::uint64_t num_unknowns,
+                    std::uint64_t num_probes, double tstop);
 
 // ---------------------------------------------------------------------------
 // CheckpointSink — cadence + publication

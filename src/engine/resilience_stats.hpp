@@ -18,11 +18,9 @@ namespace wavepipe::engine {
 enum class Feature {
   kChord = 0,
   kBypass,
-  kPartition,
-  kParallelFactor,
   kParallelAssembly,
 };
-inline constexpr int kNumFeatures = 5;
+inline constexpr int kNumFeatures = 3;
 const char* FeatureName(Feature feature);
 
 /// Mask bit for BreakerBoard attribution.

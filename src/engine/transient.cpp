@@ -5,8 +5,6 @@
 
 #include "engine/rescue.hpp"
 #include "engine/resilience.hpp"
-#include "partition/partitioner.hpp"
-
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -34,22 +32,6 @@ void TransientStats::ExportCounters(util::telemetry::CounterRegistry& registry) 
   registry.Value("transient.wall_seconds", wall_seconds);
   registry.Count("lu.full_factors", lu_full_factors);
   registry.Count("lu.refactors", lu_refactors);
-  registry.Count("lu.factor_levels", static_cast<std::uint64_t>(factor_levels));
-  registry.Count("lu.factor_widest_level", factor_widest_level);
-  registry.Value("lu.modeled_refactor_speedup2", modeled_refactor_speedup2);
-  registry.Value("lu.modeled_refactor_speedup4", modeled_refactor_speedup4);
-  registry.Count("lu.parallel_refactors", lu_parallel_refactors);
-  registry.Count("lu.refactor_fallbacks", lu_refactor_fallbacks);
-  registry.Count("lu.parallel_solves", lu_parallel_solves);
-  registry.Count("partition.pieces", static_cast<std::uint64_t>(partition_pieces));
-  registry.Count("partition.interface_size", partition_interface_size);
-  registry.Value("partition.piece_imbalance", partition_piece_imbalance);
-  registry.Count("partition.full_factors", partition_full_factors);
-  registry.Count("partition.refactors", partition_refactors);
-  registry.Count("partition.solves", partition_solves);
-  registry.Count("partition.schur_factors", partition_schur_factors);
-  registry.Count("partition.schur_nnz", partition_schur_nnz);
-  registry.Value("partition.schur_seconds", partition_schur_seconds);
 }
 
 StepControlParams MakeStepParams(const SimOptions& options, int num_nodes, int order) {
@@ -204,31 +186,10 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   SolveContext ctx(circuit, structure);
   ctx.ConfigureAcceleration(options);
   if (options.ordering_cache != nullptr) ctx.lu.set_ordering_cache(options.ordering_cache);
-  if (options.partition_pieces > 0) {
-    ctx.ConfigurePartition(
-        options.partition_plan != nullptr
-            ? options.partition_plan
-            : partition::PartitionPattern(structure.pattern(), options.partition_pieces));
-  }
   watchdog.AddSource(&ctx.heartbeat);
   watchdog.Start();
   ctx.record_factor_seeds = sink.enabled();
   result.last_good_time = spec.tstart;
-
-  // Factor counters spent PRIMING the linear solvers at resume (replaying
-  // the checkpointed seeds) are bookkeeping, not simulation work — this
-  // baseline keeps them out of the absorbed partition stats so resumed and
-  // uninterrupted runs agree on every activity counter.
-  sparse::BbdStats bbd_prime_base{};
-  const auto net_bbd_stats = [&]() {
-    sparse::BbdStats s = ctx.bbd.stats();
-    s.full_factor_count -= bbd_prime_base.full_factor_count;
-    s.refactor_count -= bbd_prime_base.refactor_count;
-    s.solve_count -= bbd_prime_base.solve_count;
-    s.schur_factor_count -= bbd_prime_base.schur_factor_count;
-    s.schur_seconds -= bbd_prime_base.schur_seconds;
-    return s;
-  };
 
   const StepLimits limits = StepLimits::FromSpec(spec, options);
   std::vector<double> breakpoints = circuit.CollectBreakpoints(spec.tstart, spec.tstop);
@@ -247,8 +208,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     // operating point is already inside the history, so the loop continues
     // exactly where the checkpointed process would have.
     const TransientCheckpoint& ck = *res.resume;
-    ValidateResume(ck, "serial", "", options.partition_pieces,
-                   static_cast<std::uint64_t>(ctx.x.size()),
+    ValidateResume(ck, "serial", "", static_cast<std::uint64_t>(ctx.x.size()),
                    result.trace.probes().size(), spec.tstop);
     rstats.ckpt_resumed = 1;
     result.stats = ck.stats;
@@ -274,9 +234,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     steps_since_restart = static_cast<int>(ck.steps_since_restart);
     floor_streak = static_cast<int>(ck.floor_streak);
     next_bp = ck.next_breakpoint;
-    ctx.PrimeFactorsFromSeeds(FactorSeeds{ck.lu_seed_full, ck.lu_seed_numeric},
-                              FactorSeeds{ck.bbd_seed_full, ck.bbd_seed_numeric});
-    if (ctx.bbd.configured()) bbd_prime_base = ctx.bbd.stats();
+    ctx.PrimeFactorsFromSeeds(FactorSeeds{ck.lu_seed_full, ck.lu_seed_numeric});
   } else {
     try {
       const DcopResult dcop = SolveDcOperatingPoint(ctx, options, spec.initial_conditions);
@@ -304,7 +262,6 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   const auto snapshot = [&]() -> std::vector<std::uint8_t> {
     TransientCheckpoint ck;
     ck.engine = "serial";
-    ck.partition_pieces = options.partition_pieces;
     ck.num_unknowns = static_cast<std::uint64_t>(ctx.x.size());
     ck.num_probes = result.trace.probes().size();
     ck.tstop = spec.tstop;
@@ -323,15 +280,11 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       ck.history.push_back(std::move(p));
     }
     ck.stats = result.stats;
-    ck.stats.AbsorbLuStats(ctx.lu.stats());
-    if (ctx.bbd.configured()) ck.stats.AbsorbPartitionStats(net_bbd_stats());
     ck.stats.bypassed_evals += ctx.bypass.bypassed_evals();
     ck.stats.bypass_full_evals += ctx.bypass.full_evals();
     ck.stats.wall_seconds = total_timer.Seconds();
     ck.lu_seed_full = ctx.lu_seeds.full;
     ck.lu_seed_numeric = ctx.lu_seeds.numeric;
-    ck.bbd_seed_full = ctx.bbd_seeds.full;
-    ck.bbd_seed_numeric = ctx.bbd_seeds.numeric;
     ck.steps = result.steps;
     ck.trace_times.assign(result.trace.times().begin(), result.trace.times().end());
     const std::size_t stride = result.trace.probes().size();
@@ -351,7 +304,6 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     if (breakers.enabled()) {
       const std::uint64_t reprobe = breakers.OnAcceptedStep();
       if (reprobe & FeatureBit(Feature::kChord)) live.chord_newton = options.chord_newton;
-      if (reprobe & FeatureBit(Feature::kPartition)) ctx.ReengagePartition();
       // No bypass re-probe: DeviceBypass::Disable is terminal, matching the
       // step-floor safety valve's one-way semantics.
     }
@@ -398,12 +350,10 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       std::uint64_t mask = 0;
       if (live.chord_newton) mask |= FeatureBit(Feature::kChord);
       if (ctx.bypass.active()) mask |= FeatureBit(Feature::kBypass);
-      if (ctx.partition_active()) mask |= FeatureBit(Feature::kPartition);
       const std::uint64_t tripped =
           breakers.OnSolveOutcome(mask, solve.converged, solve.solve_seconds);
       if (tripped & FeatureBit(Feature::kChord)) live.chord_newton = false;
       if (tripped & FeatureBit(Feature::kBypass)) ctx.bypass.Disable();
-      if (tripped & FeatureBit(Feature::kPartition)) ctx.DisengagePartition();
     }
     process_newton += static_cast<std::uint64_t>(solve.newton.iterations);
     result.stats.newton_iterations += static_cast<std::uint64_t>(solve.newton.iterations);
@@ -527,8 +477,6 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   sink.WriteFinal(snapshot);
   result.last_good_time = history.newest_time();
   result.stats.wall_seconds = total_timer.Seconds();
-  result.stats.AbsorbLuStats(ctx.lu.stats());
-  if (ctx.bbd.configured()) result.stats.AbsorbPartitionStats(net_bbd_stats());
   result.stats.bypassed_evals += ctx.bypass.bypassed_evals();
   result.stats.bypass_full_evals += ctx.bypass.full_evals();
   return result;

@@ -139,60 +139,11 @@ struct TransientStats {
   std::uint64_t bypass_auto_disables = 0;
   double wall_seconds = 0.0;
   std::string dcop_strategy;
-  // LU level-scheduling telemetry (sparse/lu.hpp), copied from the primary
-  // SolveContext at the end of a run so benches and traces stop re-deriving
-  // schedules.  Valid whenever the run factored at least once.
-  int factor_levels = 0;                      ///< refactor DAG depth
-  std::size_t factor_widest_level = 0;        ///< widest refactor level (columns)
-  double modeled_refactor_speedup2 = 1.0;     ///< cost model at 2 threads
-  double modeled_refactor_speedup4 = 1.0;     ///< cost model at 4 threads
-  std::uint64_t lu_parallel_refactors = 0;    ///< level-scheduled refactors run
-  std::uint64_t lu_refactor_fallbacks = 0;    ///< pool offered, model chose serial
-  std::uint64_t lu_parallel_solves = 0;       ///< level-scheduled solves run
-  // Domain-decomposition (BBD) telemetry, absorbed from each context's
-  // BbdSolver at the end of a run.  All zero when --partition is off, so the
-  // exported partition.* counters exist for every engine and stay 0/absent
-  // of influence on the monolithic path.
-  int partition_pieces = 0;
-  std::size_t partition_interface_size = 0;
-  double partition_piece_imbalance = 0.0;
-  std::uint64_t partition_full_factors = 0;
-  std::uint64_t partition_refactors = 0;
-  std::uint64_t partition_solves = 0;
-  std::uint64_t partition_schur_factors = 0;
-  std::size_t partition_schur_nnz = 0;
-  double partition_schur_seconds = 0.0;
 
-  /// Registers every field under the `transient.` prefix, the absorbed LU
-  /// block under `lu.` (util/telemetry.hpp).  Rescue counters expand to one
+  /// Registers every field under the `transient.` prefix, the factor counts
+  /// under `lu.` (util/telemetry.hpp).  Rescue counters expand to one
   /// counter per rung, named by RescueRungName().
   void ExportCounters(util::telemetry::CounterRegistry& registry) const;
-
-  /// Copies the LU telemetry block from a solver's stats snapshot.
-  void AbsorbLuStats(const sparse::SparseLu::Stats& lu) {
-    factor_levels = lu.factor_levels;
-    factor_widest_level = lu.factor_widest_level;
-    modeled_refactor_speedup2 = lu.modeled_refactor_speedup2;
-    modeled_refactor_speedup4 = lu.modeled_refactor_speedup4;
-    lu_parallel_refactors += lu.parallel_refactor_count;
-    lu_refactor_fallbacks += lu.refactor_fallback_count;
-    lu_parallel_solves += lu.parallel_solve_count;
-  }
-
-  /// Merges the BBD telemetry block from one context's partitioned solver.
-  /// Static plan facts (pieces, interface, imbalance, Schur nnz) are shared
-  /// by every context, so they overwrite; activity counters accumulate.
-  void AbsorbPartitionStats(const sparse::BbdStats& bbd) {
-    partition_pieces = bbd.pieces;
-    partition_interface_size = bbd.interface_size;
-    partition_piece_imbalance = bbd.piece_imbalance;
-    partition_schur_nnz = bbd.schur_nnz;
-    partition_full_factors += bbd.full_factor_count;
-    partition_refactors += bbd.refactor_count;
-    partition_solves += bbd.solve_count;
-    partition_schur_factors += bbd.schur_factor_count;
-    partition_schur_seconds += bbd.schur_seconds;
-  }
 };
 
 struct TransientResult {

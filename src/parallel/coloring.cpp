@@ -218,8 +218,8 @@ namespace {
 
 /// Shared bookkeeping: thread pool ownership + mutex-guarded stats.  When a
 /// shared (externally owned) pool is supplied, stamping runs on it and no
-/// private pool is created — this is how assembly and level-scheduled LU
-/// refactorization share one set of workers.
+/// private pool is created — this is how the fine-grained evaluator and the
+/// WavePipe driver keep ownership of the workers (and their heartbeats).
 class AssemblerBase : public engine::DeviceAssembler {
  public:
   AssemblerBase(const engine::Circuit& circuit, const engine::MnaStructure& structure,

@@ -8,7 +8,6 @@
 #include "engine/integrator.hpp"
 #include "engine/resilience.hpp"
 #include "engine/step_control.hpp"
-#include "partition/partitioner.hpp"
 #include "util/error.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -34,31 +33,22 @@ class FineGrainedEvaluator {
  public:
   FineGrainedEvaluator(const engine::Circuit& circuit, const engine::MnaStructure& structure,
                        const FineGrainedOptions& options) {
-    // One pool serves both colored stamping and level-scheduled LU: the two
-    // phases alternate within a Newton iteration, never overlap.
-    const int pool_size = std::max(options.threads, options.factor_threads);
-    if (pool_size > 1) {
-      pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(pool_size));
+    if (options.threads > 1) {
+      pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(options.threads));
     }
     assembler_ = MakeAssembler(options.assembly, circuit, structure, options.threads,
                                options.coloring, pool_.get());
-    if (options.factor_threads > 1) factor_pool_ = pool_.get();
   }
 
-  /// Delegates the zero+stamp half of this context's EvalDevices calls and
-  /// routes its LU through the shared pool (when factor_threads >= 2).
-  void Attach(SolveContext& ctx) {
-    ctx.assembler = assembler_.get();
-    ctx.factor_pool = factor_pool_;
-  }
+  /// Delegates the zero+stamp half of this context's EvalDevices calls.
+  void Attach(SolveContext& ctx) { ctx.assembler = assembler_.get(); }
 
   engine::AssemblyStats stats() const { return assembler_->stats(); }
 
-  /// Breaker re-probe hooks: the originally configured strategy objects, so
-  /// a half-open parallel-assembly/factor breaker can restore exactly what
-  /// it degraded (engine/resilience.hpp).
+  /// Breaker re-probe hook: the originally configured assembler, so a
+  /// half-open parallel-assembly breaker can restore exactly what it
+  /// degraded (engine/resilience.hpp).
   engine::DeviceAssembler* assembler() const { return assembler_.get(); }
-  util::ThreadPool* factor_pool() const { return factor_pool_; }
   /// Worker pool (null for 1-thread runs) — heartbeat source for the stall
   /// watchdog.
   util::ThreadPool* pool() const { return pool_.get(); }
@@ -76,9 +66,8 @@ class FineGrainedEvaluator {
   }
 
  private:
-  std::unique_ptr<util::ThreadPool> pool_;  ///< shared: assembly + factorization
+  std::unique_ptr<util::ThreadPool> pool_;  ///< assembly workers
   std::unique_ptr<engine::DeviceAssembler> assembler_;
-  util::ThreadPool* factor_pool_ = nullptr;  ///< pool_.get() when factor_threads >= 2
 };
 
 /// Newton loop on top of the parallel evaluator (mirrors engine::SolveNewton).
@@ -105,7 +94,7 @@ engine::NewtonStats SolveNewtonFineGrained(FineGrainedEvaluator& evaluator,
       evaluator.Eval(ctx, inputs, limit_valid, iter == 0, phases);
     } catch (const SingularMatrixError&) {
       // ReducedSubnet interior pivot failure ("reduce.singular" or real):
-      // classified as a failed solve, same as a singular BBD/LU pivot below.
+      // classified as a failed solve, same as a singular LU pivot below.
       stats.converged = false;
       stats.singular = true;
       stats.final_delta = std::numeric_limits<double>::infinity();
@@ -119,40 +108,14 @@ engine::NewtonStats SolveNewtonFineGrained(FineGrainedEvaluator& evaluator,
       WP_TSPAN("solve", "chord_step");
       chord.BeginChordStep(stats);
       std::copy(ctx.x.begin(), ctx.x.end(), ctx.x_new.begin());
-      ctx.lu.ChordStep(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work,
-                       ctx.factor_pool);
-    } else if (ctx.partition_active()) {
-      // BBD path, mirroring engine::SolveNewton: per-piece parallel factors
-      // + Schur coupling on the shared pool.  A singular piece or Schur
-      // pivot (including the injected schur.factor fault) is attributed to
-      // THIS Newton solve — a failed solve the step-shrink ladder owns, not
-      // an unwound run.
-      const auto before_full = ctx.bbd.stats().full_factor_count;
-      const auto before_re = ctx.bbd.stats().refactor_count;
-      try {
-        WP_TSPAN("factor", "bbd_factor");
-        ctx.bbd.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
-      } catch (const SingularMatrixError&) {
-        stats.converged = false;
-        stats.singular = true;
-        stats.final_delta = std::numeric_limits<double>::infinity();
-        chord.Settle(false);
-        return stats;
-      }
-      stats.lu_full_factors +=
-          static_cast<int>(ctx.bbd.stats().full_factor_count - before_full);
-      stats.lu_refactors += static_cast<int>(ctx.bbd.stats().refactor_count - before_re);
-      ctx.RecordFactorSeeds(ctx.bbd_seeds,
-                            ctx.bbd.stats().full_factor_count != before_full);
-      std::copy(ctx.rhs.begin(), ctx.rhs.end(), ctx.x_new.begin());
-      ctx.bbd.Solve(ctx.x_new, ctx.factor_pool);
+      ctx.lu.ChordStep(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work);
     } else {
       const auto before_factor = ctx.lu.stats().factor_count;
       const auto before_refactor = ctx.lu.stats().refactor_count;
       chord.NoteFactorAttempt();  // reuse state stays invalid if this throws
       try {
         WP_TSPAN("factor", "lu_factor");
-        ctx.lu.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
+        ctx.lu.FactorOrRefactor(ctx.matrix);
       } catch (const SingularMatrixError&) {
         stats.converged = false;
         stats.singular = true;
@@ -167,7 +130,7 @@ engine::NewtonStats SolveNewtonFineGrained(FineGrainedEvaluator& evaluator,
       chord.NoteFreshFactor();
       WP_TSPAN("solve", "triangular_solve");
       std::copy(ctx.rhs.begin(), ctx.rhs.end(), ctx.x_new.begin());
-      ctx.lu.SolveParallel(ctx.x_new, ctx.lu_work, ctx.factor_pool);
+      ctx.lu.Solve(ctx.x_new, ctx.lu_work);
     }
     phases.lu += lu_timer.Seconds();
 
@@ -273,13 +236,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
   // assembler.
   evaluator.Attach(ctx);
   ctx.ConfigureAcceleration(options.sim);
-  if (options.sim.partition_pieces > 0) {
-    ctx.ConfigurePartition(
-        options.sim.partition_plan != nullptr
-            ? options.sim.partition_plan
-            : partition::PartitionPattern(structure.pattern(),
-                                          options.sim.partition_pieces));
-  }
 
   const engine::StepLimits limits = engine::StepLimits::FromSpec(spec, options.sim);
   std::vector<double> breakpoints = circuit.CollectBreakpoints(spec.tstart, spec.tstop);
@@ -291,22 +247,9 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
   std::uint64_t process_steps = 0;   // accepted steps THIS process (budget basis)
   std::uint64_t process_newton = 0;  // Newton iterations THIS process
 
-  // Priming counters excluded from the absorbed partition stats (see the
-  // serial engine for the rationale).
-  sparse::BbdStats bbd_prime_base{};
-  const auto net_bbd_stats = [&]() {
-    sparse::BbdStats s = ctx.bbd.stats();
-    s.full_factor_count -= bbd_prime_base.full_factor_count;
-    s.refactor_count -= bbd_prime_base.refactor_count;
-    s.solve_count -= bbd_prime_base.solve_count;
-    s.schur_factor_count -= bbd_prime_base.schur_factor_count;
-    s.schur_seconds -= bbd_prime_base.schur_seconds;
-    return s;
-  };
-
   if (res.resume != nullptr) {
     const engine::TransientCheckpoint& ck = *res.resume;
-    engine::ValidateResume(ck, "fine-grained", "", options.sim.partition_pieces,
+    engine::ValidateResume(ck, "fine-grained", "",
                            static_cast<std::uint64_t>(ctx.x.size()),
                            result.trace.probes().size(), spec.tstop);
     rstats.ckpt_resumed = 1;
@@ -331,10 +274,7 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
     restart = ck.restart;
     steps_since_restart = static_cast<int>(ck.steps_since_restart);
     next_bp = ck.next_breakpoint;
-    ctx.PrimeFactorsFromSeeds(
-        engine::FactorSeeds{ck.lu_seed_full, ck.lu_seed_numeric},
-        engine::FactorSeeds{ck.bbd_seed_full, ck.bbd_seed_numeric});
-    if (ctx.bbd.configured()) bbd_prime_base = ctx.bbd.stats();
+    ctx.PrimeFactorsFromSeeds(engine::FactorSeeds{ck.lu_seed_full, ck.lu_seed_numeric});
   } else {
     history.Add(engine::MakeDcSolutionPoint(ctx, spec.tstart));
     result.trace.Record(spec.tstart, history.newest()->x, history.newest()->q);
@@ -346,7 +286,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
   const auto snapshot = [&]() -> std::vector<std::uint8_t> {
     engine::TransientCheckpoint ck;
     ck.engine = "fine-grained";
-    ck.partition_pieces = options.sim.partition_pieces;
     ck.num_unknowns = static_cast<std::uint64_t>(ctx.x.size());
     ck.num_probes = result.trace.probes().size();
     ck.tstop = spec.tstop;
@@ -364,15 +303,11 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
       ck.history.push_back(std::move(p));
     }
     ck.stats = result.stats;
-    ck.stats.AbsorbLuStats(ctx.lu.stats());
-    if (ctx.bbd.configured()) ck.stats.AbsorbPartitionStats(net_bbd_stats());
     ck.stats.bypassed_evals += ctx.bypass.bypassed_evals();
     ck.stats.bypass_full_evals += ctx.bypass.full_evals();
     ck.stats.wall_seconds = total_timer.Seconds();
     ck.lu_seed_full = ctx.lu_seeds.full;
     ck.lu_seed_numeric = ctx.lu_seeds.numeric;
-    ck.bbd_seed_full = ctx.bbd_seeds.full;
-    ck.bbd_seed_numeric = ctx.bbd_seeds.numeric;
     ck.trace_times.assign(result.trace.times().begin(), result.trace.times().end());
     const std::size_t stride = result.trace.probes().size();
     ck.trace_values.reserve(result.trace.num_samples() * stride);
@@ -392,12 +327,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
       const std::uint64_t reprobe = breakers.OnAcceptedStep();
       if (reprobe & engine::FeatureBit(engine::Feature::kChord)) {
         live.chord_newton = options.sim.chord_newton;
-      }
-      if (reprobe & engine::FeatureBit(engine::Feature::kPartition)) {
-        ctx.ReengagePartition();
-      }
-      if (reprobe & engine::FeatureBit(engine::Feature::kParallelFactor)) {
-        ctx.factor_pool = evaluator.factor_pool();
       }
       if (reprobe & engine::FeatureBit(engine::Feature::kParallelAssembly)) {
         ctx.assembler = evaluator.assembler();
@@ -460,10 +389,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
       std::uint64_t mask = 0;
       if (live.chord_newton) mask |= engine::FeatureBit(engine::Feature::kChord);
       if (ctx.bypass.active()) mask |= engine::FeatureBit(engine::Feature::kBypass);
-      if (ctx.partition_active()) mask |= engine::FeatureBit(engine::Feature::kPartition);
-      if (ctx.factor_pool != nullptr) {
-        mask |= engine::FeatureBit(engine::Feature::kParallelFactor);
-      }
       if (ctx.assembler != nullptr) {
         mask |= engine::FeatureBit(engine::Feature::kParallelAssembly);
       }
@@ -471,12 +396,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
           mask, newton.converged, /*seconds=*/0.0);
       if (tripped & engine::FeatureBit(engine::Feature::kChord)) live.chord_newton = false;
       if (tripped & engine::FeatureBit(engine::Feature::kBypass)) ctx.bypass.Disable();
-      if (tripped & engine::FeatureBit(engine::Feature::kPartition)) {
-        ctx.DisengagePartition();
-      }
-      if (tripped & engine::FeatureBit(engine::Feature::kParallelFactor)) {
-        ctx.factor_pool = nullptr;
-      }
       if (tripped & engine::FeatureBit(engine::Feature::kParallelAssembly)) {
         ctx.assembler = nullptr;
       }
@@ -547,8 +466,6 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
   sink.WriteFinal(snapshot);
   result.last_good_time = history.empty() ? spec.tstart : history.newest_time();
   result.stats.wall_seconds = total_timer.Seconds();
-  result.stats.AbsorbLuStats(ctx.lu.stats());
-  if (ctx.bbd.configured()) result.stats.AbsorbPartitionStats(net_bbd_stats());
   result.stats.bypassed_evals += ctx.bypass.bypassed_evals();
   result.stats.bypass_full_evals += ctx.bypass.full_evals();
   result.assembly = evaluator.stats();

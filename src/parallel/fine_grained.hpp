@@ -31,12 +31,6 @@ namespace wavepipe::parallel {
 
 struct FineGrainedOptions {
   int threads = 2;
-  /// Workers for level-scheduled LU refactorization / triangular solves
-  /// inside each Newton iteration (see sparse/lu.hpp).  0 = serial LU (the
-  /// historical behavior); >= 2 enables the parallel kernels, sharing ONE
-  /// worker pool with assembly — assembly and factorization never overlap
-  /// within an iteration, so the pool is sized max(threads, factor_threads).
-  int factor_threads = 0;
   /// Assembly strategy; kAuto lets the cost model choose colored vs
   /// reduction from the conflict graph.
   AssemblyMode assembly = AssemblyMode::kAuto;

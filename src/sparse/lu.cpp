@@ -1,17 +1,13 @@
 #include "sparse/lu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <future>
-#include <numeric>
 
 #include "sparse/ordering.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wavepipe::sparse {
 
@@ -23,26 +19,9 @@ void SparseLu::Stats::ExportCounters(util::telemetry::CounterRegistry& registry)
   registry.Count("sparse_lu.solve_count", solve_count);
   registry.Count("sparse_lu.factor_flops", factor_flops);
   registry.Count("sparse_lu.solve_flops", solve_flops);
-  registry.Count("sparse_lu.factor_levels", static_cast<std::uint64_t>(factor_levels));
-  registry.Count("sparse_lu.factor_widest_level", factor_widest_level);
-  registry.Count("sparse_lu.solve_fwd_levels", static_cast<std::uint64_t>(solve_fwd_levels));
-  registry.Count("sparse_lu.solve_bwd_levels", static_cast<std::uint64_t>(solve_bwd_levels));
-  registry.Value("sparse_lu.modeled_refactor_speedup2", modeled_refactor_speedup2);
-  registry.Value("sparse_lu.modeled_refactor_speedup4", modeled_refactor_speedup4);
-  registry.Count("sparse_lu.parallel_refactor_count", parallel_refactor_count);
-  registry.Count("sparse_lu.refactor_fallback_count", refactor_fallback_count);
-  registry.Count("sparse_lu.parallel_solve_count", parallel_solve_count);
   registry.Count("sparse_lu.ordering_reuse_count", ordering_reuse_count);
   registry.Count("sparse_lu.chord_step_count", chord_step_count);
 }
-namespace {
-
-/// Below this many columns a level chunk is processed inline by the calling
-/// thread: a fork/join submission costs more than a handful of sparse
-/// column updates.  Affects speed only, never results.
-constexpr std::size_t kMinColsPerChunk = 8;
-
-}  // namespace
 
 SparseLu::SparseLu(Options options) : options_(options) {}
 
@@ -55,7 +34,6 @@ void SparseLu::Reset(const Options& options) {
   stats_ = Stats{};
   solve_count_.store(0, std::memory_order_relaxed);
   solve_flops_.store(0, std::memory_order_relaxed);
-  parallel_solve_count_.store(0, std::memory_order_relaxed);
   chord_step_count_.store(0, std::memory_order_relaxed);
 }
 
@@ -68,7 +46,7 @@ void SparseLu::ComputeOrdering(const CscMatrix& matrix) {
     return;
   }
   // Shared cache: other instances may already have ordered this pattern
-  // (WavePipe contexts on one circuit, equal BBD piece stripes).
+  // (WavePipe contexts on one circuit, batch variants of one deck).
   const OrderingCache::Key key{matrix.cols(), matrix.num_nonzeros(), hash,
                                static_cast<int>(options_.ordering)};
   if (ordering_cache_ != nullptr) {
@@ -254,139 +232,11 @@ void SparseLu::Factor(const CscMatrix& matrix) {
   // Remap L row indices into permuted space (every row is pivotal now).
   for (int& row : li_) row = pinv_[row];
 
-  BuildSchedules();
-
   stats_.nnz_l = li_.size();
   stats_.nnz_u = ui_.size() + static_cast<std::size_t>(n_);
   stats_.factor_count += 1;
   stats_.factor_flops += flops;
-  stats_.factor_levels = factor_levels_.num_levels();
-  stats_.factor_widest_level = factor_levels_.widest_level();
-  stats_.solve_fwd_levels = fwd_levels_.num_levels();
-  stats_.solve_bwd_levels = bwd_levels_.num_levels();
-  stats_.modeled_refactor_speedup2 =
-      serial_refactor_flops_ > 0.0
-          ? serial_refactor_flops_ / ModelRefactorMakespanFlops(2)
-          : 1.0;
-  stats_.modeled_refactor_speedup4 =
-      serial_refactor_flops_ > 0.0
-          ? serial_refactor_flops_ / ModelRefactorMakespanFlops(4)
-          : 1.0;
   factored_ = true;
-}
-
-void SparseLu::BuildSchedules() {
-  const std::size_t n = static_cast<std::size_t>(n_);
-
-  // Row-major mirror of L, columns ascending per row (counting sort over
-  // ascending columns keeps them sorted).
-  lrow_ptr_.assign(n + 1, 0);
-  for (int row : li_) ++lrow_ptr_[static_cast<std::size_t>(row) + 1];
-  for (std::size_t i = 0; i < n; ++i) lrow_ptr_[i + 1] += lrow_ptr_[i];
-  lrow_col_.resize(li_.size());
-  lrow_val_.resize(li_.size());
-  {
-    std::vector<int> cursor(lrow_ptr_.begin(), lrow_ptr_.end() - 1);
-    for (int j = 0; j < n_; ++j) {
-      for (int k = lp_[j]; k < lp_[j + 1]; ++k) {
-        const int pos = cursor[static_cast<std::size_t>(li_[k])]++;
-        lrow_col_[static_cast<std::size_t>(pos)] = j;
-        lrow_val_[static_cast<std::size_t>(pos)] = k;
-      }
-    }
-  }
-
-  // Row-major mirror of U with columns DESCENDING per row: backward
-  // substitution applies columns n-1..0, so the gather must replay that
-  // order for bit-identity.
-  urow_ptr_.assign(n + 1, 0);
-  for (int row : ui_) ++urow_ptr_[static_cast<std::size_t>(row) + 1];
-  for (std::size_t i = 0; i < n; ++i) urow_ptr_[i + 1] += urow_ptr_[i];
-  urow_col_.resize(ui_.size());
-  urow_val_.resize(ui_.size());
-  {
-    std::vector<int> cursor(urow_ptr_.begin(), urow_ptr_.end() - 1);
-    for (int j = n_ - 1; j >= 0; --j) {
-      for (int k = up_[j]; k < up_[j + 1]; ++k) {
-        const int pos = cursor[static_cast<std::size_t>(ui_[k])]++;
-        urow_col_[static_cast<std::size_t>(pos)] = j;
-        urow_val_[static_cast<std::size_t>(pos)] = k;
-      }
-    }
-  }
-
-  // Level assignments.  Refactor DAG: column j reads L's column r for every
-  // U(r,j) != 0, so level(j) = 1 + max over those r (all r < j: ascending
-  // sweep finalizes dependencies first).
-  std::vector<int> level(n, 0);
-  for (int j = 0; j < n_; ++j) {
-    int lv = 0;
-    for (int k = up_[j]; k < up_[j + 1]; ++k) {
-      lv = std::max(lv, level[static_cast<std::size_t>(ui_[k])] + 1);
-    }
-    level[static_cast<std::size_t>(j)] = lv;
-  }
-  factor_levels_ = BuildLevelSchedule(level);
-
-  // Forward substitution: z[i] is final once every column r with L(i,r) != 0
-  // has been applied — propagate levels down each L column.
-  std::fill(level.begin(), level.end(), 0);
-  for (int j = 0; j < n_; ++j) {
-    const int lj = level[static_cast<std::size_t>(j)];
-    for (int k = lp_[j]; k < lp_[j + 1]; ++k) {
-      int& li_level = level[static_cast<std::size_t>(li_[k])];
-      li_level = std::max(li_level, lj + 1);
-    }
-  }
-  fwd_levels_ = BuildLevelSchedule(level);
-
-  // Backward substitution: z[r] needs every column j > r with U(r,j) != 0
-  // already divided — propagate levels up each U column, descending.
-  std::fill(level.begin(), level.end(), 0);
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int lj = level[static_cast<std::size_t>(j)];
-    for (int k = up_[j]; k < up_[j + 1]; ++k) {
-      int& r_level = level[static_cast<std::size_t>(ui_[k])];
-      r_level = std::max(r_level, lj + 1);
-    }
-  }
-  bwd_levels_ = BuildLevelSchedule(level);
-
-  // Per-column refactor flop model: one multiply-add per L entry of every
-  // dependency column, plus the pivot scaling of this column's L entries.
-  col_flops_.assign(n, 0.0);
-  serial_refactor_flops_ = 0.0;
-  for (int j = 0; j < n_; ++j) {
-    double flops = 0.0;
-    for (int k = up_[j]; k < up_[j + 1]; ++k) {
-      const int r = ui_[k];
-      flops += static_cast<double>(lp_[r + 1] - lp_[r]);
-    }
-    flops += static_cast<double>(lp_[j + 1] - lp_[j]);
-    col_flops_[static_cast<std::size_t>(j)] = flops;
-    serial_refactor_flops_ += flops;
-  }
-
-  // Triangular-solve node costs: entries gathered per node (+1 for the
-  // load/store or diagonal division).
-  fwd_node_cost_.assign(n, 0.0);
-  bwd_node_cost_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    fwd_node_cost_[i] = static_cast<double>(lrow_ptr_[i + 1] - lrow_ptr_[i]) + 1.0;
-    bwd_node_cost_[i] = static_cast<double>(urow_ptr_[i + 1] - urow_ptr_[i]) + 1.0;
-  }
-}
-
-double SparseLu::ModelRefactorMakespanFlops(int threads) const {
-  return ModelLevelMakespan(factor_levels_, col_flops_, threads,
-                            options_.level_barrier_flops);
-}
-
-bool SparseLu::LevelScheduleProfitable(int threads) const {
-  if (threads < 2) return false;
-  if (options_.force_level_schedule) return true;
-  return serial_refactor_flops_ >
-         options_.level_min_speedup * ModelRefactorMakespanFlops(threads);
 }
 
 bool SparseLu::RefactorColumn(const CscMatrix& matrix, int j, double* work,
@@ -459,78 +309,7 @@ bool SparseLu::Refactor(const CscMatrix& matrix) {
   return true;
 }
 
-bool SparseLu::RefactorParallel(const CscMatrix& matrix, util::ThreadPool* pool) {
-  const int threads = pool ? static_cast<int>(pool->size()) : 1;
-  if (threads < 2 || !LevelScheduleProfitable(threads)) {
-    if (threads >= 2) ++stats_.refactor_fallback_count;
-    return Refactor(matrix);
-  }
-  WP_ASSERT(factored_);
-  WP_ASSERT(matrix.rows() == n_ && matrix.cols() == n_);
-  WP_ASSERT(matrix.num_nonzeros() == pattern_nnz_);
-
-  if (parallel_work_.size() < static_cast<std::size_t>(threads)) {
-    parallel_work_.resize(static_cast<std::size_t>(threads));
-  }
-  for (int c = 0; c < threads; ++c) {
-    parallel_work_[static_cast<std::size_t>(c)].resize(static_cast<std::size_t>(n_));
-  }
-
-  std::atomic<bool> abort{false};
-  std::uint64_t flops = 0;
-  std::vector<std::future<std::uint64_t>> futures;
-
-  for (int l = 0; l < factor_levels_.num_levels() && !abort.load(std::memory_order_relaxed);
-       ++l) {
-    const std::span<const int> nodes = factor_levels_.Level(l);
-    const std::size_t chunk_count = std::clamp<std::size_t>(
-        nodes.size() / kMinColsPerChunk, 1, static_cast<std::size_t>(threads));
-    auto run_chunk = [&](std::span<const int> part, double* work) -> std::uint64_t {
-      std::uint64_t local_flops = 0;
-      for (int j : part) {
-        if (abort.load(std::memory_order_relaxed)) break;
-        if (!RefactorColumn(matrix, j, work, local_flops)) {
-          abort.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      return local_flops;
-    };
-
-    if (chunk_count <= 1) {
-      flops += run_chunk(nodes, parallel_work_[0].data());
-      continue;
-    }
-    // Deterministic contiguous partition; columns within a level are
-    // independent and write disjoint factor slots, so any partition yields
-    // the same bits — contiguity just keeps the index streams cache-friendly.
-    const std::size_t per_chunk = (nodes.size() + chunk_count - 1) / chunk_count;
-    futures.clear();
-    std::size_t chunk = 0;
-    for (std::size_t begin = 0; begin < nodes.size(); begin += per_chunk, ++chunk) {
-      const std::span<const int> part =
-          nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin));
-      double* work = parallel_work_[chunk].data();
-      futures.push_back(pool->Submit([&run_chunk, part, work] { return run_chunk(part, work); }));
-    }
-    for (auto& future : futures) flops += future.get();
-  }
-
-  if (abort.load(std::memory_order_relaxed)) {
-    factored_ = false;
-    return false;
-  }
-  stats_.refactor_count += 1;
-  stats_.parallel_refactor_count += 1;
-  stats_.factor_flops += flops;
-  return true;
-}
-
 void SparseLu::FactorOrRefactor(const CscMatrix& matrix) {
-  FactorOrRefactor(matrix, nullptr);
-}
-
-void SparseLu::FactorOrRefactor(const CscMatrix& matrix, util::ThreadPool* pool) {
   // Fault site: a pivot failure at the entry point of the Newton loop's
   // linear-solver path.  Thrown (not returned) so tests exercise the same
   // unwinding a genuine SingularMatrixError from Factor() would take.
@@ -538,7 +317,7 @@ void SparseLu::FactorOrRefactor(const CscMatrix& matrix, util::ThreadPool* pool)
     throw SingularMatrixError("lu.pivot: injected pivot failure", -1);
   }
   if (factored_ && matrix.cols() == n_ && matrix.num_nonzeros() == pattern_nnz_) {
-    if (RefactorParallel(matrix, pool)) return;
+    if (Refactor(matrix)) return;
   }
   Factor(matrix);
 }
@@ -580,92 +359,10 @@ void SparseLu::Solve(std::span<double> b, std::vector<double>& workspace) const 
                          std::memory_order_relaxed);
 }
 
-void SparseLu::SolveParallel(std::span<double> b, std::vector<double>& workspace,
-                             util::ThreadPool* pool) const {
-  const int threads = pool ? static_cast<int>(pool->size()) : 1;
-  bool profitable = false;
-  if (threads >= 2) {
-    if (options_.force_level_schedule) {
-      profitable = true;
-    } else {
-      const double serial_cost =
-          static_cast<double>(li_.size() + ui_.size() + static_cast<std::size_t>(n_));
-      const double parallel_cost =
-          ModelLevelMakespan(fwd_levels_, fwd_node_cost_, threads,
-                             options_.level_barrier_flops) +
-          ModelLevelMakespan(bwd_levels_, bwd_node_cost_, threads,
-                             options_.level_barrier_flops);
-      profitable = serial_cost > options_.level_min_speedup * parallel_cost;
-    }
-  }
-  if (!profitable) {
-    Solve(b, workspace);
-    return;
-  }
-
-  WP_ASSERT(factored_);
-  WP_ASSERT(static_cast<int>(b.size()) == n_);
-  workspace.resize(static_cast<std::size_t>(n_));
-  double* z = workspace.data();
-  for (int i = 0; i < n_; ++i) z[pinv_[i]] = b[i];
-
-  // Each node writes only z[node] and reads nodes finalized in earlier
-  // levels, so intra-level execution is race-free; the gathers accumulate in
-  // the exact serial substitution order (L rows ascending, U rows
-  // descending), so the bits match Solve().
-  auto run_levels = [&](const LevelSchedule& levels, auto&& node_op) {
-    std::vector<std::future<void>> futures;
-    for (int l = 0; l < levels.num_levels(); ++l) {
-      const std::span<const int> nodes = levels.Level(l);
-      const std::size_t chunk_count = std::clamp<std::size_t>(
-          nodes.size() / kMinColsPerChunk, 1, static_cast<std::size_t>(threads));
-      if (chunk_count <= 1) {
-        for (int node : nodes) node_op(node);
-        continue;
-      }
-      const std::size_t per_chunk = (nodes.size() + chunk_count - 1) / chunk_count;
-      futures.clear();
-      for (std::size_t begin = 0; begin < nodes.size(); begin += per_chunk) {
-        const std::span<const int> part =
-            nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin));
-        futures.push_back(pool->Submit([&node_op, part] {
-          for (int node : part) node_op(node);
-        }));
-      }
-      for (auto& future : futures) future.get();
-    }
-  };
-
-  // Forward substitution (row-gather form of the unit lower triangle).
-  run_levels(fwd_levels_, [&](int i) {
-    double zi = z[i];
-    for (int k = lrow_ptr_[i]; k < lrow_ptr_[i + 1]; ++k) {
-      zi -= lx_[lrow_val_[k]] * z[lrow_col_[k]];
-    }
-    z[i] = zi;
-  });
-  // Back substitution (row-gather, columns descending, then the division).
-  run_levels(bwd_levels_, [&](int i) {
-    double zi = z[i];
-    for (int k = urow_ptr_[i]; k < urow_ptr_[i + 1]; ++k) {
-      zi -= ux_[urow_val_[k]] * z[urow_col_[k]];
-    }
-    z[i] = zi / udiag_[i];
-  });
-
-  for (int j = 0; j < n_; ++j) b[q_[j]] = z[j];
-
-  solve_count_.fetch_add(1, std::memory_order_relaxed);
-  parallel_solve_count_.fetch_add(1, std::memory_order_relaxed);
-  solve_flops_.fetch_add(li_.size() + ui_.size() + static_cast<std::size_t>(n_),
-                         std::memory_order_relaxed);
-}
-
 SparseLu::Stats SparseLu::stats() const {
   Stats snapshot = stats_;
   snapshot.solve_count = solve_count_.load(std::memory_order_relaxed);
   snapshot.solve_flops = solve_flops_.load(std::memory_order_relaxed);
-  snapshot.parallel_solve_count = parallel_solve_count_.load(std::memory_order_relaxed);
   snapshot.chord_step_count = chord_step_count_.load(std::memory_order_relaxed);
   return snapshot;
 }
@@ -690,11 +387,10 @@ double SparseLu::Refine(const CscMatrix& matrix, std::span<const double> b,
 
 double SparseLu::ChordStep(const CscMatrix& matrix, std::span<const double> b,
                            std::span<double> x, std::vector<double>& residual,
-                           std::vector<double>& solve_workspace,
-                           util::ThreadPool* pool) const {
+                           std::vector<double>& solve_workspace) const {
   residual.assign(b.begin(), b.end());
   matrix.MultiplyAccumulate(x, residual, -1.0);
-  SolveParallel(residual, solve_workspace, pool);
+  Solve(residual, solve_workspace);
   const double correction = NormInf(residual);
   Axpy(1.0, residual, x);
   chord_step_count_.fetch_add(1, std::memory_order_relaxed);

@@ -3,11 +3,10 @@
 // Computing a minimum-degree (or RCM) ordering costs far more than a numeric
 // refactorization, and the same sparsity pattern recurs constantly: every
 // FactorOrRefactor pivot-failure fallback re-factors the identical pattern,
-// every WavePipe context factors the same circuit matrix, and a domain-
-// decomposed solve factors many pieces whose patterns often coincide (equal
-// mesh stripes).  SparseLu has always kept a private single-slot cache; this
-// promotes it to a shared, explicitly keyed artifact several SparseLu
-// instances (and, later, batch variants) reuse concurrently.
+// every WavePipe context factors the same circuit matrix, and every batch
+// variant of a deck shares one pattern.  SparseLu has always kept a private
+// single-slot cache; this promotes it to a shared, explicitly keyed artifact
+// several SparseLu instances reuse concurrently.
 //
 // Keying: (n, nnz, FNV-1a pattern hash, ordering kind).  A hash collision
 // merely reuses a permutation computed for a different pattern, which costs

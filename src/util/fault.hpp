@@ -29,8 +29,6 @@
 //   spec.mispredict   ValidateSpeculativeChain sees the prediction error as
 //                     out of tolerance, forcing the discard path (exercises
 //                     the adaptive speculation policy's depth degradation)
-//   schur.factor      BbdSolver::FactorOrRefactor throws SingularMatrixError
-//                     from the Schur-complement factorization
 //   ckpt.write        WriteCheckpointSlot fails as if the disk did (throws
 //                     CheckpointError before the slot is replaced)
 //   ckpt.corrupt      WriteCheckpointSlot flips a payload byte AFTER the CRC

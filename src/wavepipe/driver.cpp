@@ -6,7 +6,6 @@
 
 #include "engine/rescue.hpp"
 #include "parallel/coloring.hpp"
-#include "partition/partitioner.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -64,14 +63,12 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
     pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(options_.threads));
   }
 
-  // Intra-solve parallelism: ONE shared worker pool serves both colored
-  // assembly and level-scheduled LU refactorization (they alternate within a
-  // Newton iteration, never overlap).  This pool is distinct from pool_
-  // (whose workers run whole pipelined solves and block on intra-solve
-  // futures — a shared pool there would deadlock).
-  const int intra_threads = std::max(options_.assembly_threads, options_.factor_threads);
-  if (intra_threads > 1) {
-    intra_pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(intra_threads));
+  // Intra-solve parallelism: colored assembly runs on its own worker pool,
+  // distinct from pool_ (whose workers run whole pipelined solves and block
+  // on intra-solve futures — a shared pool there would deadlock).
+  if (options_.assembly_threads > 1) {
+    intra_pool_ =
+        std::make_unique<util::ThreadPool>(static_cast<unsigned>(options_.assembly_threads));
   }
 
   // Colored assembly: let the cost model decide, but only attach a COLORED
@@ -88,12 +85,6 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
     }
   }
 
-  // Level-scheduled LU: per-context opt-in; the per-level cost model inside
-  // SparseLu still falls back to the serial kernels when levels are thin.
-  if (options_.factor_threads > 1) {
-    for (auto& ctx : contexts_) ctx->factor_pool = intra_pool_.get();
-  }
-
   // Latency bypass / chord Newton: per-context caches and factor-reuse
   // state, so pipelined solves on different contexts never share them.
   for (auto& ctx : contexts_) ctx->ConfigureAcceleration(options_.sim);
@@ -102,19 +93,6 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
   }
   chord_configured_ = options_.sim.chord_newton;
   for (auto& ctx : contexts_) ctx->record_factor_seeds = sink_.enabled();
-
-  // Domain decomposition: ONE plan computed for the shared pattern, handed
-  // to every context (each keeps its own numeric BbdSolver — piece factors
-  // are per-context state exactly like ctx.lu).  Piece-parallel factor/solve
-  // runs on the intra-solve pool for the same no-deadlock reason as above.
-  if (options_.sim.partition_pieces > 0) {
-    const auto plan =
-        options_.sim.partition_plan != nullptr
-            ? options_.sim.partition_plan
-            : partition::PartitionPattern(structure.pattern(),
-                                          options_.sim.partition_pieces);
-    for (auto& ctx : contexts_) ctx->ConfigurePartition(plan);
-  }
 }
 
 bool PipelineDriver::Done() const {
@@ -235,10 +213,7 @@ WavePipeResult PipelineDriver::Run() {
 
   result_.stats.wall_seconds = total_timer_.Seconds();
   if (assembler_) result_.assembly = assembler_->stats();
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    const auto& ctx = contexts_[i];
-    result_.stats.AbsorbLuStats(ctx->lu.stats());
-    if (ctx->bbd.configured()) result_.stats.AbsorbPartitionStats(NetBbdStats(i));
+  for (const auto& ctx : contexts_) {
     result_.stats.bypassed_evals += ctx->bypass.bypassed_evals();
     result_.stats.bypass_full_evals += ctx->bypass.full_evals();
   }
@@ -585,24 +560,10 @@ void PipelineDriver::UnpackSched(std::span<const std::uint64_t> u64,
   policy_.RestoreState(u64.subspan(kSchedU64Fields), f64);
 }
 
-sparse::BbdStats PipelineDriver::NetBbdStats(std::size_t i) const {
-  sparse::BbdStats s = contexts_[i]->bbd.stats();
-  if (i < bbd_prime_base_.size()) {
-    const sparse::BbdStats& base = bbd_prime_base_[i];
-    s.full_factor_count -= base.full_factor_count;
-    s.refactor_count -= base.refactor_count;
-    s.solve_count -= base.solve_count;
-    s.schur_factor_count -= base.schur_factor_count;
-    s.schur_seconds -= base.schur_seconds;
-  }
-  return s;
-}
-
 std::vector<std::uint8_t> PipelineDriver::Snapshot() {
   engine::TransientCheckpoint ck;
   ck.engine = "pipeline";
   ck.scheme = SchemeName(options_.scheme);
-  ck.partition_pieces = options_.sim.partition_pieces;
   ck.num_unknowns = static_cast<std::uint64_t>(contexts_[0]->x.size());
   ck.num_probes = result_.trace.probes().size();
   ck.tstop = spec_.tstop;
@@ -651,11 +612,9 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
   // Solver stats absorbed into the snapshot COPY so the live tallies keep
   // accumulating raw (the epilogue absorbs them exactly once).
   ck.stats = result_.stats;
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    ck.stats.AbsorbLuStats(contexts_[i]->lu.stats());
-    if (contexts_[i]->bbd.configured()) ck.stats.AbsorbPartitionStats(NetBbdStats(i));
-    ck.stats.bypassed_evals += contexts_[i]->bypass.bypassed_evals();
-    ck.stats.bypass_full_evals += contexts_[i]->bypass.full_evals();
+  for (const auto& ctx : contexts_) {
+    ck.stats.bypassed_evals += ctx->bypass.bypassed_evals();
+    ck.stats.bypass_full_evals += ctx->bypass.full_evals();
   }
   ck.stats.wall_seconds = total_timer_.Seconds();
 
@@ -663,8 +622,6 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
     engine::CheckpointContextSeeds seeds;
     seeds.lu_full = ctx->lu_seeds.full;
     seeds.lu_numeric = ctx->lu_seeds.numeric;
-    seeds.bbd_full = ctx->bbd_seeds.full;
-    seeds.bbd_numeric = ctx->bbd_seeds.numeric;
     ck.context_seeds.push_back(std::move(seeds));
   }
 
@@ -681,7 +638,6 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
 
 void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck) {
   engine::ValidateResume(ck, "pipeline", SchemeName(options_.scheme),
-                         options_.sim.partition_pieces,
                          static_cast<std::uint64_t>(contexts_[0]->x.size()),
                          result_.trace.probes().size(), spec_.tstop);
   if (ck.context_seeds.size() != contexts_.size()) {
@@ -744,17 +700,12 @@ void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck
   avg_repair_iters_ = ck.avg_repair_iters;
   repair_samples_ = static_cast<int>(ck.repair_samples);
 
-  // Prime every context's linear solvers from its replay seeds so the first
-  // post-resume solve on each slot REFACTORS exactly like the uninterrupted
-  // run (see FactorSeeds).  The factor counters this spends are bookkeeping,
-  // not simulation work — keep them out of the absorbed stats.
-  bbd_prime_base_.assign(contexts_.size(), sparse::BbdStats{});
+  // Prime every context's LU from its replay seeds so the first post-resume
+  // solve on each slot REFACTORS exactly like the uninterrupted run (see
+  // FactorSeeds).
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const engine::CheckpointContextSeeds& seeds = ck.context_seeds[i];
-    contexts_[i]->PrimeFactorsFromSeeds(
-        engine::FactorSeeds{seeds.lu_full, seeds.lu_numeric},
-        engine::FactorSeeds{seeds.bbd_full, seeds.bbd_numeric});
-    if (contexts_[i]->bbd.configured()) bbd_prime_base_[i] = contexts_[i]->bbd.stats();
+    contexts_[i]->PrimeFactorsFromSeeds(engine::FactorSeeds{seeds.lu_full, seeds.lu_numeric});
   }
 }
 
@@ -762,12 +713,6 @@ std::uint64_t PipelineDriver::ActiveFeatureMask() const {
   std::uint64_t mask = 0;
   if (options_.sim.chord_newton) mask |= engine::FeatureBit(engine::Feature::kChord);
   if (contexts_[0]->bypass.active()) mask |= engine::FeatureBit(engine::Feature::kBypass);
-  if (contexts_[0]->partition_active()) {
-    mask |= engine::FeatureBit(engine::Feature::kPartition);
-  }
-  if (contexts_[0]->factor_pool != nullptr) {
-    mask |= engine::FeatureBit(engine::Feature::kParallelFactor);
-  }
   if (contexts_[0]->assembler != nullptr) {
     mask |= engine::FeatureBit(engine::Feature::kParallelAssembly);
   }
@@ -782,12 +727,6 @@ void PipelineDriver::ApplyBreakerTrips(std::uint64_t tripped) {
   if (tripped & engine::FeatureBit(engine::Feature::kBypass)) {
     for (auto& ctx : contexts_) ctx->bypass.Disable();
   }
-  if (tripped & engine::FeatureBit(engine::Feature::kPartition)) {
-    for (auto& ctx : contexts_) ctx->DisengagePartition();
-  }
-  if (tripped & engine::FeatureBit(engine::Feature::kParallelFactor)) {
-    for (auto& ctx : contexts_) ctx->factor_pool = nullptr;
-  }
   if (tripped & engine::FeatureBit(engine::Feature::kParallelAssembly)) {
     for (auto& ctx : contexts_) ctx->assembler = nullptr;
   }
@@ -799,13 +738,6 @@ void PipelineDriver::RoundBarrier() {
     const std::uint64_t reprobe = breakers_.OnAcceptedStep();
     if (reprobe & engine::FeatureBit(engine::Feature::kChord)) {
       options_.sim.chord_newton = chord_configured_;
-    }
-    if (reprobe & engine::FeatureBit(engine::Feature::kPartition)) {
-      for (auto& ctx : contexts_) ctx->ReengagePartition();
-    }
-    if ((reprobe & engine::FeatureBit(engine::Feature::kParallelFactor)) &&
-        intra_pool_ && options_.factor_threads > 1) {
-      for (auto& ctx : contexts_) ctx->factor_pool = intra_pool_.get();
     }
     if ((reprobe & engine::FeatureBit(engine::Feature::kParallelAssembly)) && assembler_) {
       for (auto& ctx : contexts_) ctx->assembler = assembler_.get();

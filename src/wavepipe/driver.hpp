@@ -161,9 +161,6 @@ class PipelineDriver {
   /// Scheduler + speculation-policy state <-> checkpoint vectors.
   void PackSched(std::vector<std::uint64_t>& u64, std::vector<double>& f64) const;
   void UnpackSched(std::span<const std::uint64_t> u64, std::span<const double> f64);
-  /// Context i's BBD counters net of the factor work spent PRIMING it at
-  /// resume (bookkeeping, not simulation work).
-  sparse::BbdStats NetBbdStats(std::size_t i) const;
 
   // ---- immutable configuration ---------------------------------------------
   const engine::Circuit& circuit_;
@@ -181,9 +178,9 @@ class PipelineDriver {
   /// different contexts can share this one instance.
   std::unique_ptr<engine::DeviceAssembler> assembler_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Intra-solve pool shared by colored assembly and level-scheduled LU
-  /// factorization.  Deliberately separate from pool_: pipeline workers
-  /// block on intra-solve futures, so the two pools must not share threads.
+  /// Intra-solve pool for colored assembly.  Deliberately separate from
+  /// pool_: pipeline workers block on intra-solve futures, so the two pools
+  /// must not share threads.
   std::unique_ptr<util::ThreadPool> intra_pool_;
   engine::History history_;
   std::map<const engine::SolutionPoint*, int> ledger_id_of_point_;
@@ -233,8 +230,6 @@ class PipelineDriver {
   std::uint64_t process_steps_ = 0;   ///< accepted steps THIS process (budget basis)
   std::uint64_t process_newton_ = 0;  ///< Newton iterations THIS process
   bool chord_configured_ = false;     ///< chord enabled at construction (re-probe target)
-  /// Per-context BBD factor counters spent priming replay seeds at resume.
-  std::vector<sparse::BbdStats> bbd_prime_base_;
 };
 
 }  // namespace wavepipe::pipeline

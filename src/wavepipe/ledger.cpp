@@ -12,8 +12,6 @@ const char* SolveKindName(SolveKind kind) {
     case SolveKind::kSpeculative: return "speculative";
     case SolveKind::kRepair: return "repair";
     case SolveKind::kRejected: return "rejected";
-    case SolveKind::kAssembly: return "assembly";
-    case SolveKind::kFactorColumn: return "factor_column";
   }
   return "?";
 }

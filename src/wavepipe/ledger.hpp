@@ -23,12 +23,6 @@ enum class SolveKind {
   kSpeculative,  ///< forward-pipelined solve on predicted history
   kRepair,       ///< hot-start correction of an accepted speculative solve
   kRejected,     ///< solve whose step was rejected (LTE or Newton)
-  // Intra-solve tasks (finer grain than a whole nonlinear solve): the
-  // virtual-time replay schedules these alongside the solve-level records so
-  // modeled makespans cover colored assembly and level-scheduled
-  // refactorization too (see virtual_pipeline.hpp).
-  kAssembly,      ///< one color phase of a conflict-free assembly pass
-  kFactorColumn,  ///< one column of a level-scheduled numeric refactorization
 };
 
 const char* SolveKindName(SolveKind kind);

@@ -43,11 +43,8 @@ namespace wavepipe::pipeline {
 /// (consumers iterate their own baseline keys, so additions never break
 /// them — see tools/check_bench.py).
 ///
-/// v1.1 appends the domain-decomposition group `partition.*` (pieces,
-/// interface_size, piece_imbalance, full_factors, refactors, solves,
-/// schur_factors, schur_nnz, schur_seconds) after the `lu.*` block.  Every
-/// pre-existing key keeps its name, type and position; v1 consumers reading
-/// their own baseline keys parse v1.1 documents unchanged.
+/// v1.1 appended a domain-decomposition group `partition.*` after the
+/// `lu.*` block (removed again in v2).
 ///
 /// v1.2 appends the durable-run groups `ckpt.*`, `watchdog.*` and
 /// `resilience.*` (engine/resilience_stats.hpp: checkpoint writes/failures/
@@ -68,7 +65,15 @@ namespace wavepipe::pipeline {
 /// newton_iterations, dc_points, ac_points, wall_seconds) after the
 /// `reduce.*` block.  All zeros outside --sweep runs; additive-only, so
 /// v1.3 consumers parse v1.4 unchanged.
-inline constexpr const char* kRunStatsSchema = "wavepipe.run_stats.v1.4";
+///
+/// v2 is the first non-additive change: with the BBD partition solve and the
+/// level-scheduled LU deleted, it REMOVES the whole `partition.*` group, the
+/// `lu.*` level-scheduling keys (factor_levels, factor_widest_level,
+/// modeled_refactor_speedup2/4, parallel_refactors, refactor_fallbacks,
+/// parallel_solves) and the `resilience.trips.partition` /
+/// `resilience.trips.parallel_factor` breaker keys.  Every surviving key
+/// keeps its name, type and relative order.
+inline constexpr const char* kRunStatsSchema = "wavepipe.run_stats.v2";
 
 /// Identity of one run for the run_stats.json header.  Strings live here;
 /// the counter registry is numeric-only by design.

@@ -7,13 +7,6 @@
 
 namespace wavepipe::pipeline {
 
-namespace {
-/// Same-color devices per kAssembly replay record.  Small enough that a wide
-/// color spreads over several virtual workers, large enough that the replay
-/// stays O(devices) with short dep lists.
-constexpr std::size_t kLedgerChunkDevices = 16;
-}  // namespace
-
 ReplayResult ReplayOnWorkers(const Ledger& ledger, int workers, ReplayCost cost,
                              std::vector<ReplayTask>* schedule) {
   WP_ASSERT(workers >= 1);
@@ -60,68 +53,6 @@ ReplayResult ReplayOnWorkers(const Ledger& ledger, int workers, ReplayCost cost,
   }
   if (out.makespan_seconds > 0) {
     out.utilization = out.busy_seconds / (out.makespan_seconds * workers);
-  }
-  return out;
-}
-
-AppendedTasks AppendAssemblyTasks(Ledger& ledger, const parallel::ColorSchedule& schedule,
-                                  double seconds_per_device, std::vector<int> deps) {
-  AppendedTasks out;
-  std::vector<int> prev_color = std::move(deps);
-  std::vector<int> this_color;
-  for (int color = 0; color < schedule.num_colors(); ++color) {
-    const std::span<const int> group = schedule.ColorDevices(color);
-    this_color.clear();
-    for (std::size_t begin = 0; begin < group.size(); begin += kLedgerChunkDevices) {
-      const std::size_t count = std::min(kLedgerChunkDevices, group.size() - begin);
-      SolveRecord record;
-      record.kind = SolveKind::kAssembly;
-      record.seconds = static_cast<double>(count) * seconds_per_device;
-      record.newton_iterations = static_cast<int>(count);  // unit-cost basis
-      record.deps = prev_color;  // barrier: every chunk of the previous color
-      const int id = ledger.Add(std::move(record));
-      if (out.first_id < 0) out.first_id = id;
-      ++out.count;
-      this_color.push_back(id);
-    }
-    if (!this_color.empty()) std::swap(prev_color, this_color);
-  }
-  out.tail = std::move(prev_color);
-  return out;
-}
-
-AppendedTasks AppendFactorTasks(Ledger& ledger, const sparse::SparseLu& lu,
-                                double seconds_per_flop, std::vector<int> deps) {
-  WP_ASSERT(lu.factored());
-  AppendedTasks out;
-  const int n = lu.dimension();
-  const std::span<const double> flops = lu.column_flops();
-  std::vector<int> id_of(static_cast<std::size_t>(n), -1);
-  std::vector<char> has_dependent(static_cast<std::size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    SolveRecord record;
-    record.kind = SolveKind::kFactorColumn;
-    record.seconds = flops[static_cast<std::size_t>(j)] * seconds_per_flop;
-    record.newton_iterations = 1;
-    const std::span<const int> col_deps = lu.FactorColumnDeps(j);
-    if (col_deps.empty()) {
-      record.deps = deps;  // DAG sources wait for the incoming tasks
-    } else {
-      record.deps.reserve(col_deps.size());
-      for (int r : col_deps) {
-        record.deps.push_back(id_of[static_cast<std::size_t>(r)]);
-        has_dependent[static_cast<std::size_t>(r)] = 1;
-      }
-    }
-    const int id = ledger.Add(std::move(record));
-    id_of[static_cast<std::size_t>(j)] = id;
-    if (out.first_id < 0) out.first_id = id;
-    ++out.count;
-  }
-  for (int j = 0; j < n; ++j) {
-    if (!has_dependent[static_cast<std::size_t>(j)]) {
-      out.tail.push_back(id_of[static_cast<std::size_t>(j)]);
-    }
   }
   return out;
 }

@@ -1,19 +1,10 @@
 // Virtual-time replay: list-schedules a Ledger's task DAG onto k workers and
 // reports the makespan.  See ledger.hpp for why this stands in for multi-core
 // wall clock on this single-core container.
-//
-// Besides whole-solve records, a ledger can carry INTRA-solve tasks —
-// assembly color phases and refactorization columns — appended via
-// AppendAssemblyTasks()/AppendFactorTasks().  Replaying such a ledger models
-// the fine-grained execution (colored assembly feeding a level-scheduled
-// refactorization) on k workers, which is how bench_factor projects
-// multi-thread factorization throughput from a 1-vCPU container.
 #pragma once
 
 #include <vector>
 
-#include "parallel/coloring.hpp"
-#include "sparse/lu.hpp"
 #include "wavepipe/ledger.hpp"
 
 namespace wavepipe::pipeline {
@@ -54,34 +45,5 @@ struct ReplayTask {
 ReplayResult ReplayOnWorkers(const Ledger& ledger, int workers,
                              ReplayCost cost = ReplayCost::kMeasuredSeconds,
                              std::vector<ReplayTask>* schedule = nullptr);
-
-/// Ids of a batch of records appended to a ledger, for chaining further
-/// task batches behind it.
-struct AppendedTasks {
-  int first_id = -1;
-  int count = 0;
-  /// Appended ids that no other appended record depends on — the batch's
-  /// sinks; downstream tasks list these as deps.
-  std::vector<int> tail;
-};
-
-/// Appends kAssembly records for one conflict-free assembly pass: one record
-/// PER DEVICE CHUNK (chunks of kLedgerChunkDevices same-color devices), so
-/// the replay can spread a color across workers.  Chunks of one color depend
-/// on all chunks of the previous color (colors are barriers); first-color
-/// chunks depend on `deps`.  Each record costs (devices in chunk) *
-/// seconds_per_device.
-AppendedTasks AppendAssemblyTasks(Ledger& ledger, const parallel::ColorSchedule& schedule,
-                                  double seconds_per_device, std::vector<int> deps = {});
-
-/// Appends one kFactorColumn record per column of a level-scheduled numeric
-/// refactorization of `lu` (which must be factored).  Column j costs
-/// column_flops()[j] * seconds_per_flop and depends on exactly its
-/// FactorColumnDeps() — the replay therefore explores the true column DAG,
-/// not the barrier-per-level relaxation.  Columns with no dependency inside
-/// the batch additionally depend on `deps` (e.g. the tail of the assembly
-/// pass that produced the matrix).
-AppendedTasks AppendFactorTasks(Ledger& ledger, const sparse::SparseLu& lu,
-                                double seconds_per_flop, std::vector<int> deps = {});
 
 }  // namespace wavepipe::pipeline

@@ -81,15 +81,6 @@ struct WavePipeOptions {
   /// option is silently a no-op rather than a slowdown.
   int assembly_threads = 0;
 
-  /// Workers for level-scheduled parallel LU refactorization / triangular
-  /// solves INSIDE each pipelined solve (sparse/lu.hpp).  Shares one worker
-  /// pool with assembly_threads — assembly and factorization alternate
-  /// within a Newton iteration, so the intra-solve pool is sized
-  /// max(assembly_threads, factor_threads).  0/1 keeps the serial LU
-  /// kernels; on circuits whose elimination DAG is too deep the per-level
-  /// cost model falls back to serial automatically.
-  int factor_threads = 0;
-
   /// Speculation quarantine: after this many CONSECUTIVE leading-point
   /// Newton failures or rescue activations, the pipelined schemes degrade
   /// to the serial round for `quarantine_rounds` rounds.  A circuit region

@@ -173,6 +173,32 @@ TEST(CheckpointSlots, CrcFlipIsRejected) {
   RemoveSlots(base);
 }
 
+TEST(CheckpointSlots, OlderFormatVersionIsRejected) {
+  ASSERT_EQ(util::kCheckpointFormatVersion, 2u);
+  const std::string base = TempBase("slots_version1");
+  RemoveSlots(base);
+  util::WriteCheckpointSlot(base, std::vector<std::uint8_t>{10, 20, 30, 40}, 0);
+  // Rewrite the version field (bytes 4..7, little-endian) to 1.  The CRC
+  // covers only the payload, so the file is otherwise well formed.
+  {
+    std::FILE* f = std::fopen((base + ".a").c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+    const unsigned char version1[4] = {1, 0, 0, 0};
+    ASSERT_EQ(std::fwrite(version1, 1, 4, f), 4u);
+    std::fclose(f);
+  }
+  try {
+    (void)util::LoadNewestCheckpoint(base);
+    ADD_FAILURE() << "a version-1 checkpoint was accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << error.what();
+  }
+  RemoveSlots(base);
+}
+
 TEST(CheckpointSlots, WriteFaultThrowsAndPreservesPreviousSlot) {
   const std::string base = TempBase("slots_writefault");
   RemoveSlots(base);
@@ -216,7 +242,6 @@ TransientCheckpoint MakeFullCheckpoint() {
   TransientCheckpoint ck;
   ck.engine = "pipeline";
   ck.scheme = "combined";
-  ck.partition_pieces = 4;
   ck.num_unknowns = 3;
   ck.num_probes = 2;
   ck.tstop = 1e-6;
@@ -262,8 +287,6 @@ TransientCheckpoint MakeFullCheckpoint() {
   engine::CheckpointContextSeeds slot;
   slot.lu_full = {1.0, -2.0};
   slot.lu_numeric = {3.0};
-  slot.bbd_full = {4.0, 5.0, 6.0};
-  slot.bbd_numeric = {};
   ck.context_seeds.push_back(slot);
   ck.context_seeds.push_back(engine::CheckpointContextSeeds{});
   return ck;
@@ -276,7 +299,6 @@ TEST(CheckpointPayload, SerializeDeserializeRoundTrip) {
 
   EXPECT_EQ(back.engine, ck.engine);
   EXPECT_EQ(back.scheme, ck.scheme);
-  EXPECT_EQ(back.partition_pieces, ck.partition_pieces);
   EXPECT_EQ(back.num_unknowns, ck.num_unknowns);
   EXPECT_EQ(back.num_probes, ck.num_probes);
   EXPECT_EQ(back.tstop, ck.tstop);
@@ -307,8 +329,6 @@ TEST(CheckpointPayload, SerializeDeserializeRoundTrip) {
   ASSERT_EQ(back.context_seeds.size(), 2u);
   EXPECT_EQ(back.context_seeds[0].lu_full, ck.context_seeds[0].lu_full);
   EXPECT_EQ(back.context_seeds[0].lu_numeric, ck.context_seeds[0].lu_numeric);
-  EXPECT_EQ(back.context_seeds[0].bbd_full, ck.context_seeds[0].bbd_full);
-  EXPECT_TRUE(back.context_seeds[0].bbd_numeric.empty());
   EXPECT_TRUE(back.context_seeds[1].lu_full.empty());
 }
 
@@ -326,14 +346,14 @@ TEST(CheckpointPayload, TrailingGarbageThrows) {
 
 TEST(CheckpointPayload, ValidateResumeRejectsMismatches) {
   const TransientCheckpoint ck = MakeFullCheckpoint();
-  EXPECT_NO_THROW(engine::ValidateResume(ck, "pipeline", "combined", 4, 3, 2, 1e-6));
-  EXPECT_THROW(engine::ValidateResume(ck, "serial", "combined", 4, 3, 2, 1e-6),
+  EXPECT_NO_THROW(engine::ValidateResume(ck, "pipeline", "combined", 3, 2, 1e-6));
+  EXPECT_THROW(engine::ValidateResume(ck, "serial", "combined", 3, 2, 1e-6),
                CheckpointError);
-  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 2, 3, 2, 1e-6),
+  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 3, 5, 1e-6),
                CheckpointError);
-  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 4, 8, 2, 1e-6),
+  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 8, 2, 1e-6),
                CheckpointError);
-  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 4, 3, 2, 2e-6),
+  EXPECT_THROW(engine::ValidateResume(ck, "pipeline", "combined", 3, 2, 2e-6),
                CheckpointError);
 }
 
@@ -437,44 +457,6 @@ TEST_F(SerialResumeTest, ResumeAtEveryEarlyStepIsBitIdentical) {
   }
 }
 
-TEST_F(SerialResumeTest, PartitionedResumeIsBitIdentical) {
-  const auto gen = circuits::MakeRcMesh(8, 8);
-  engine::MnaStructure mna(*gen.circuit);
-  const std::string base = TempBase("serial_resume_partition");
-  RemoveSlots(base);
-
-  engine::SimOptions options;
-  options.partition_pieces = 4;
-  const auto reference = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, options);
-  ASSERT_TRUE(reference.completed) << reference.abort_reason;
-
-  engine::SimOptions first = options;
-  first.resilience.checkpoint_path = base;
-  first.resilience.max_steps = 9;
-  const auto partial = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, first);
-  ASSERT_FALSE(partial.completed);
-
-  const TransientCheckpoint ck = engine::LoadCheckpoint(base);
-  engine::SimOptions second = options;
-  second.resilience.resume = &ck;
-  const auto resumed = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, second);
-  ASSERT_TRUE(resumed.completed) << resumed.abort_reason;
-
-  ASSERT_EQ(resumed.trace.num_samples(), reference.trace.num_samples());
-  for (std::size_t s = 0; s < reference.trace.num_samples(); ++s) {
-    ASSERT_EQ(resumed.trace.times()[s], reference.trace.times()[s]);
-    for (std::size_t p = 0; p < reference.trace.probes().size(); ++p) {
-      ASSERT_EQ(resumed.trace.value(s, p), reference.trace.value(s, p));
-    }
-  }
-  EXPECT_EQ(resumed.stats.steps_accepted, reference.stats.steps_accepted);
-  EXPECT_EQ(resumed.stats.newton_iterations, reference.stats.newton_iterations);
-  EXPECT_EQ(
-      resumed.stats.partition_full_factors + resumed.stats.partition_refactors,
-      reference.stats.partition_full_factors + reference.stats.partition_refactors);
-  RemoveSlots(base);
-}
-
 TEST_F(SerialResumeTest, ResumeRejectsMismatchedRun) {
   const auto gen = circuits::MakeRcMesh(6, 6);
   engine::MnaStructure mna(*gen.circuit);
@@ -487,11 +469,12 @@ TEST_F(SerialResumeTest, ResumeRejectsMismatchedRun) {
   (void)engine::RunTransientSerial(*gen.circuit, mna, gen.spec, first);
 
   const TransientCheckpoint ck = engine::LoadCheckpoint(base);
-  // Same checkpoint, DIFFERENT partitioning: the fingerprint must refuse.
+  // Same checkpoint, DIFFERENT horizon: the fingerprint must refuse.
+  engine::TransientSpec longer = gen.spec;
+  longer.tstop *= 2.0;
   engine::SimOptions second;
-  second.partition_pieces = 4;
   second.resilience.resume = &ck;
-  EXPECT_THROW(engine::RunTransientSerial(*gen.circuit, mna, gen.spec, second),
+  EXPECT_THROW(engine::RunTransientSerial(*gen.circuit, mna, longer, second),
                CheckpointError);
   RemoveSlots(base);
 }
@@ -528,7 +511,6 @@ class FineGrainedResumeTest : public ::testing::Test {
 // threaded device evaluation must not perturb the resumed trajectory.
 void ExpectFineGrainedResumeBitIdentical(const circuits::GeneratedCircuit& gen,
                                          std::uint64_t kill_at_step,
-                                         std::int64_t partition_pieces,
                                          const std::string& tag) {
   engine::MnaStructure mna(*gen.circuit);
   const std::string base = TempBase("finegrained_resume_" + tag);
@@ -536,7 +518,6 @@ void ExpectFineGrainedResumeBitIdentical(const circuits::GeneratedCircuit& gen,
 
   parallel::FineGrainedOptions options;
   options.threads = 2;
-  options.sim.partition_pieces = static_cast<int>(partition_pieces);
   const auto reference =
       parallel::RunTransientFineGrained(*gen.circuit, mna, gen.spec, options);
   ASSERT_TRUE(reference.completed) << reference.abort_reason;
@@ -583,17 +564,12 @@ void ExpectFineGrainedResumeBitIdentical(const circuits::GeneratedCircuit& gen,
 
 TEST_F(FineGrainedResumeTest, RcMeshResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectFineGrainedResumeBitIdentical(gen, 7, 0, "rcmesh_k7");
+  ExpectFineGrainedResumeBitIdentical(gen, 7, "rcmesh_k7");
 }
 
 TEST_F(FineGrainedResumeTest, RingOscillatorResumeIsBitIdentical) {
   const auto gen = circuits::MakeRingOscillator(5);
-  ExpectFineGrainedResumeBitIdentical(gen, 11, 0, "ringosc_k11");
-}
-
-TEST_F(FineGrainedResumeTest, PartitionedResumeIsBitIdentical) {
-  const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectFineGrainedResumeBitIdentical(gen, 9, 4, "rcmesh_p4_k9");
+  ExpectFineGrainedResumeBitIdentical(gen, 11, "ringosc_k11");
 }
 
 TEST_F(FineGrainedResumeTest, ResumeRejectsSerialCheckpoint) {
@@ -633,8 +609,7 @@ class PipelineResumeTest : public ::testing::Test {
 // run's complete trace must match the reference bitwise.
 void ExpectPipelineResumeBitIdentical(const circuits::GeneratedCircuit& gen,
                                       pipeline::Scheme scheme, int threads,
-                                      std::uint64_t kill_at_step,
-                                      int partition_pieces, const std::string& tag) {
+                                      std::uint64_t kill_at_step, const std::string& tag) {
   engine::MnaStructure mna(*gen.circuit);
   const std::string base = TempBase("pipeline_resume_" + tag);
   RemoveSlots(base);
@@ -642,7 +617,6 @@ void ExpectPipelineResumeBitIdentical(const circuits::GeneratedCircuit& gen,
   pipeline::WavePipeOptions options;
   options.scheme = scheme;
   options.threads = threads;
-  options.sim.partition_pieces = partition_pieces;
   const auto reference = pipeline::RunWavePipe(*gen.circuit, mna, gen.spec, options);
   ASSERT_TRUE(reference.completed) << reference.abort_reason;
 
@@ -690,32 +664,26 @@ void ExpectPipelineResumeBitIdentical(const circuits::GeneratedCircuit& gen,
 
 TEST_F(PipelineResumeTest, SerialSchemeResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kSerial, 1, 7, 0,
+  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kSerial, 1, 7,
                                    "serial_k7");
 }
 
 TEST_F(PipelineResumeTest, BackwardResumeIsBitIdentical) {
   const auto gen = circuits::MakeRingOscillator(5);
-  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kBackward, 3, 9, 0,
+  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kBackward, 3, 9,
                                    "bwp_k9");
 }
 
 TEST_F(PipelineResumeTest, ForwardResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kForward, 2, 5, 0,
+  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kForward, 2, 5,
                                    "fwp_k5");
 }
 
 TEST_F(PipelineResumeTest, CombinedResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kCombined, 3, 7, 0,
+  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kCombined, 3, 7,
                                    "combined_k7");
-}
-
-TEST_F(PipelineResumeTest, CombinedPartitionedResumeIsBitIdentical) {
-  const auto gen = circuits::MakeRcMesh(8, 8);
-  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kCombined, 3, 9, 4,
-                                   "combined_p4_k9");
 }
 
 TEST_F(PipelineResumeTest, ResumeRejectsSchemeMismatch) {

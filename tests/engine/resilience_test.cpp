@@ -97,14 +97,14 @@ TEST_F(BreakerBoardTest, TripsAfterConsecutiveAttributedFailures) {
 TEST_F(BreakerBoardTest, SuccessResetsTheConsecutiveFailureCount) {
   ResilienceStats stats;
   BreakerBoard board(SmallCooldown(), stats);
-  const std::uint64_t mask = FeatureBit(Feature::kPartition);
+  const std::uint64_t mask = FeatureBit(Feature::kBypass);
 
   EXPECT_EQ(board.OnSolveOutcome(mask, false, 0.0), 0u);
   EXPECT_EQ(board.OnSolveOutcome(mask, false, 0.0), 0u);
   EXPECT_EQ(board.OnSolveOutcome(mask, true, 0.0), 0u);  // resets the streak
   EXPECT_EQ(board.OnSolveOutcome(mask, false, 0.0), 0u);
   EXPECT_EQ(board.OnSolveOutcome(mask, false, 0.0), 0u);
-  EXPECT_FALSE(board.IsOpen(Feature::kPartition));
+  EXPECT_FALSE(board.IsOpen(Feature::kBypass));
   EXPECT_EQ(stats.breaker_trips, 0u);
 }
 
@@ -132,7 +132,7 @@ TEST_F(BreakerBoardTest, CooldownLeadsToHalfOpenReprobeThenRecloses) {
 TEST_F(BreakerBoardTest, FailedReprobeRetripsWithDoubledCooldown) {
   ResilienceStats stats;
   BreakerBoard board(SmallCooldown(), stats);
-  const std::uint64_t mask = FeatureBit(Feature::kParallelFactor);
+  const std::uint64_t mask = FeatureBit(Feature::kParallelAssembly);
   for (int i = 0; i < 3; ++i) board.OnSolveOutcome(mask, false, 0.0);
   for (int i = 0; i < 4; ++i) board.OnAcceptedStep();  // -> half-open
 
@@ -156,21 +156,21 @@ TEST_F(BreakerBoardTest, FailureIsAttributedToEveryActiveFeature) {
   EXPECT_EQ(board.OnSolveOutcome(mask, false, 0.0), mask);
   EXPECT_TRUE(board.IsOpen(Feature::kChord));
   EXPECT_TRUE(board.IsOpen(Feature::kParallelAssembly));
-  EXPECT_FALSE(board.IsOpen(Feature::kPartition));
+  EXPECT_FALSE(board.IsOpen(Feature::kBypass));
   EXPECT_EQ(stats.breaker_trips, 2u);
 }
 
 TEST_F(BreakerBoardTest, BreakerTripFaultForcesAnImmediateTrip) {
   ResilienceStats stats;
   BreakerBoard board(SmallCooldown(), stats);
-  const std::uint64_t mask = FeatureBit(Feature::kPartition);
+  const std::uint64_t mask = FeatureBit(Feature::kBypass);
   util::fault::Arm("breaker.trip", Schedule{});
 
   // One outcome — even a CONVERGED one — trips under the forced fault.
   EXPECT_EQ(board.OnSolveOutcome(mask, true, 0.0), mask);
   EXPECT_EQ(util::fault::Fired("breaker.trip"), 1u);
-  EXPECT_TRUE(board.IsOpen(Feature::kPartition));
-  EXPECT_EQ(stats.feature_trips[static_cast<int>(Feature::kPartition)], 1u);
+  EXPECT_TRUE(board.IsOpen(Feature::kBypass));
+  EXPECT_EQ(stats.feature_trips[static_cast<int>(Feature::kBypass)], 1u);
 }
 
 TEST_F(BreakerBoardTest, DisabledBoardIsInert) {

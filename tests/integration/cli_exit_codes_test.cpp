@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,6 +67,28 @@ TEST(CliExitCodes, UnknownFlagIsUsageError) {
 
 TEST(CliExitCodes, FlagMissingValueIsUsageError) {
   EXPECT_EQ(RunCli(RcDeck() + " --max-steps"), 1);
+}
+
+// Numeric flag values are parsed whole and range-checked.  Every case below
+// is refused while parsing the command line, before any worker starts.
+TEST(CliExitCodes, TrailingGarbageInThreadsIsUsageError) {
+  EXPECT_EQ(RunCli(RcDeck() + " --threads 3x"), 1);
+}
+
+TEST(CliExitCodes, ThreadsAboveLimitIsUsageError) {
+  EXPECT_EQ(RunCli(RcDeck() + " --threads 100000"), 1);
+}
+
+TEST(CliExitCodes, ExponentInIntegerFlagIsUsageError) {
+  EXPECT_EQ(RunCli(RcDeck() + " --engine serial --max-steps 1e3"), 1);
+}
+
+TEST(CliExitCodes, UnitSuffixOnSecondsIsUsageError) {
+  EXPECT_EQ(RunCli(RcDeck() + " --engine serial --max-wall 5s"), 1);
+}
+
+TEST(CliExitCodes, TrailingGarbageInToleranceIsUsageError) {
+  EXPECT_EQ(RunCli(RcDeck() + " --engine serial --bypass-vtol 1e-3x"), 1);
 }
 
 TEST(CliExitCodes, UnreadableDeckIsParseError) {
@@ -124,7 +147,11 @@ TEST(CliExitCodes, RecognizedUnsupportedDirectiveIsParseError) {
 }
 
 std::string SweepDeck(const std::string& step_values) {
-  return WriteDeck("cli_sweep.sp",
+  // One file per step list: tests with different lists run concurrently
+  // under ctest -j and must not overwrite each other's deck.
+  std::string name = "cli_sweep_" + step_values + ".sp";
+  std::replace(name.begin(), name.end(), ' ', '_');
+  return WriteDeck(name,
                    "cli sweep\n"
                    ".param rload=1k\n"
                    "V1 in 0 DC 0 PULSE(0 1 1u 1u 1u 10u 20u)\n"
@@ -176,6 +203,32 @@ TEST(CliExitCodes, MismatchedResumeIsCheckpointError) {
             4);
   // ...resumed into a different engine: fingerprint mismatch, not a crash.
   EXPECT_EQ(RunCli(RcDeck() + " --engine finegrained --resume " + base), 5);
+  std::remove((base + ".a").c_str());
+  std::remove((base + ".b").c_str());
+}
+
+TEST(CliExitCodes, OlderCheckpointFormatIsCheckpointError) {
+  const std::string base = ::testing::TempDir() + "/cli_version1.ckpt";
+  std::remove((base + ".a").c_str());
+  std::remove((base + ".b").c_str());
+  ASSERT_EQ(RunCli(RcDeck() + " --engine serial --checkpoint " + base +
+                   " --max-steps 5"),
+            4);
+  // Stamp format version 1 (header bytes 4..7, little-endian) into every
+  // slot written.  The CRC covers only the payload, so each slot stays an
+  // otherwise valid container that only the version check refuses.
+  int patched = 0;
+  for (const std::string& slot : {base + ".a", base + ".b"}) {
+    std::FILE* f = std::fopen(slot.c_str(), "rb+");
+    if (f == nullptr) continue;
+    const unsigned char version1[4] = {1, 0, 0, 0};
+    const bool ok = std::fseek(f, 4, SEEK_SET) == 0 && std::fwrite(version1, 1, 4, f) == 4;
+    std::fclose(f);
+    ASSERT_TRUE(ok) << slot;
+    ++patched;
+  }
+  ASSERT_GE(patched, 1);
+  EXPECT_EQ(RunCli(RcDeck() + " --engine serial --resume " + base), 5);
   std::remove((base + ".a").c_str());
   std::remove((base + ".b").c_str());
 }

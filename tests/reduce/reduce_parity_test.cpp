@@ -1,6 +1,6 @@
 // Reduction parity, the tentpole acceptance matrix: for every benchmark
-// circuit class, every engine (serial / fine-grained / pipeline), and both
-// partition settings, the reduced run's waveform — ports AND back-substituted
+// circuit class and every engine (serial / fine-grained / pipeline), the
+// reduced run's waveform — ports AND back-substituted
 // interior probes — must match the serial unreduced baseline within the same
 // LTE-scale tolerance the cross-scheme equivalence suite uses.  The reduced
 // system takes a DIFFERENT accepted-step sequence (eliminated unknowns leave
@@ -34,7 +34,6 @@ const char* EngineName(EngineKind kind) {
 struct ParityCase {
   const char* circuit;
   EngineKind engine;
-  int partition_pieces;
   double max_deviation;  ///< absolute volts, every probe
 };
 
@@ -46,7 +45,7 @@ circuits::GeneratedCircuit MakeByName(const std::string& name) {
   throw std::logic_error("unknown circuit " + name);
 }
 
-engine::Trace RunReducedTrace(const std::string& name, EngineKind kind, int pieces,
+engine::Trace RunReducedTrace(const std::string& name, EngineKind kind,
                               ReductionStats* stats_out) {
   auto gen = MakeByName(name);
   auto result = Reduce(std::move(gen.circuit));
@@ -56,16 +55,13 @@ engine::Trace RunReducedTrace(const std::string& name, EngineKind kind, int piec
   const engine::MnaStructure mna(*result.circuit);
   switch (kind) {
     case EngineKind::kSerial: {
-      engine::SimOptions options;
-      options.partition_pieces = pieces;
-      auto run = engine::RunTransientSerial(*result.circuit, mna, gen.spec, options);
+      auto run = engine::RunTransientSerial(*result.circuit, mna, gen.spec, {});
       EXPECT_TRUE(run.completed) << run.abort_reason;
       return run.trace;
     }
     case EngineKind::kFineGrained: {
       parallel::FineGrainedOptions options;
       options.threads = 3;
-      options.sim.partition_pieces = pieces;
       auto run = parallel::RunTransientFineGrained(*result.circuit, mna, gen.spec, options);
       EXPECT_TRUE(run.completed) << run.abort_reason;
       return run.trace;
@@ -74,7 +70,6 @@ engine::Trace RunReducedTrace(const std::string& name, EngineKind kind, int piec
       pipeline::WavePipeOptions options;
       options.scheme = pipeline::Scheme::kCombined;
       options.threads = 3;
-      options.sim.partition_pieces = pieces;
       auto run = pipeline::RunWavePipe(*result.circuit, mna, gen.spec, options);
       EXPECT_TRUE(run.completed) << run.abort_reason;
       return run.trace;
@@ -88,7 +83,7 @@ class ReduceParityTest : public ::testing::TestWithParam<ParityCase> {};
 TEST_P(ReduceParityTest, ReducedWaveformMatchesUnreducedSerial) {
   const ParityCase& param = GetParam();
 
-  // Baseline: serial, UNREDUCED, monolithic solve.
+  // Baseline: serial, UNREDUCED.
   const auto base_gen = MakeByName(param.circuit);
   const engine::MnaStructure base_mna(*base_gen.circuit);
   const auto baseline =
@@ -97,7 +92,7 @@ TEST_P(ReduceParityTest, ReducedWaveformMatchesUnreducedSerial) {
 
   ReductionStats stats;
   const engine::Trace reduced =
-      RunReducedTrace(param.circuit, param.engine, param.partition_pieces, &stats);
+      RunReducedTrace(param.circuit, param.engine, &stats);
   ASSERT_GT(stats.nodes_eliminated, 0u)
       << param.circuit << " must actually engage the reduction pass";
   ASSERT_EQ(reduced.probes().size(), baseline.trace.probes().size());
@@ -105,8 +100,8 @@ TEST_P(ReduceParityTest, ReducedWaveformMatchesUnreducedSerial) {
   for (std::size_t p = 0; p < reduced.probes().size(); ++p) {
     EXPECT_LT(engine::Trace::MaxDeviation(baseline.trace, reduced, p),
               param.max_deviation)
-        << param.circuit << " " << EngineName(param.engine) << " partition "
-        << param.partition_pieces << " probe " << baseline.trace.probes().names[p];
+        << param.circuit << " " << EngineName(param.engine) << " probe "
+        << baseline.trace.probes().names[p];
   }
 }
 
@@ -120,27 +115,21 @@ TEST_P(ReduceParityTest, ReducedWaveformMatchesUnreducedSerial) {
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, ReduceParityTest,
     ::testing::Values(
-        ParityCase{"rcladder", EngineKind::kSerial, 0, 0.02},
-        ParityCase{"rcladder", EngineKind::kSerial, 4, 0.02},
-        ParityCase{"rcladder", EngineKind::kFineGrained, 0, 0.02},
-        ParityCase{"rcladder", EngineKind::kFineGrained, 4, 0.02},
-        ParityCase{"rcladder", EngineKind::kPipeline, 0, 0.02},
-        ParityCase{"rcladder", EngineKind::kPipeline, 4, 0.02},
-        ParityCase{"rcmesh", EngineKind::kSerial, 0, 0.02},
-        ParityCase{"rcmesh", EngineKind::kSerial, 4, 0.02},
-        ParityCase{"rcmesh", EngineKind::kFineGrained, 0, 0.02},
-        ParityCase{"rcmesh", EngineKind::kPipeline, 0, 0.02},
-        ParityCase{"powergrid", EngineKind::kSerial, 0, 0.02},
-        ParityCase{"powergrid", EngineKind::kSerial, 4, 0.02},
-        ParityCase{"powergrid", EngineKind::kFineGrained, 4, 0.02},
-        ParityCase{"powergrid", EngineKind::kPipeline, 4, 0.02},
-        ParityCase{"parladder", EngineKind::kSerial, 0, 0.05},
-        ParityCase{"parladder", EngineKind::kSerial, 4, 0.05},
-        ParityCase{"parladder", EngineKind::kFineGrained, 0, 0.05},
-        ParityCase{"parladder", EngineKind::kPipeline, 0, 0.15}),
+        ParityCase{"rcladder", EngineKind::kSerial, 0.02},
+        ParityCase{"rcladder", EngineKind::kFineGrained, 0.02},
+        ParityCase{"rcladder", EngineKind::kPipeline, 0.02},
+        ParityCase{"rcmesh", EngineKind::kSerial, 0.02},
+        ParityCase{"rcmesh", EngineKind::kFineGrained, 0.02},
+        ParityCase{"rcmesh", EngineKind::kPipeline, 0.02},
+        ParityCase{"powergrid", EngineKind::kSerial, 0.02},
+        ParityCase{"powergrid", EngineKind::kFineGrained, 0.02},
+        ParityCase{"powergrid", EngineKind::kPipeline, 0.02},
+        ParityCase{"parladder", EngineKind::kSerial, 0.05},
+        ParityCase{"parladder", EngineKind::kFineGrained, 0.05},
+        ParityCase{"parladder", EngineKind::kPipeline, 0.15}),
     [](const ::testing::TestParamInfo<ParityCase>& info) {
       return std::string(info.param.circuit) + "_" + EngineName(info.param.engine) +
-             "_p" + std::to_string(info.param.partition_pieces);
+             "_p0";
     });
 
 // Same engine, same circuit, --reduce twice: traces must be bit-identical.
@@ -149,8 +138,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReduceDeterminism, ReducedRunsAreBitIdentical) {
   for (const char* name : {"rcladder", "parladder"}) {
     ReductionStats s1, s2;
-    const auto t1 = RunReducedTrace(name, EngineKind::kSerial, 0, &s1);
-    const auto t2 = RunReducedTrace(name, EngineKind::kSerial, 0, &s2);
+    const auto t1 = RunReducedTrace(name, EngineKind::kSerial, &s1);
+    const auto t2 = RunReducedTrace(name, EngineKind::kSerial, &s2);
     EXPECT_EQ(s1.nodes_eliminated, s2.nodes_eliminated) << name;
     ASSERT_EQ(t1.num_samples(), t2.num_samples()) << name;
     for (std::size_t i = 0; i < t1.num_samples(); ++i) {

@@ -260,6 +260,52 @@ TEST(SparseLu, StatsAccumulate) {
   EXPECT_GT(lu.stats().factor_flops, 0u);
 }
 
+// A second Factor() on the same pattern must reuse the fill-reducing
+// ordering; a different pattern must not.
+TEST(SparseLu, OrderingCacheReusedOnSamePattern) {
+  util::Rng rng(5);
+  const CscMatrix a = Tridiagonal(80);
+  SparseLu lu;
+  lu.Factor(a);
+  EXPECT_EQ(lu.stats().ordering_reuse_count, 0u);
+  lu.Factor(a);
+  EXPECT_EQ(lu.stats().ordering_reuse_count, 1u);
+
+  const std::vector<double> b = RandomVector(80, rng);
+  std::vector<double> x = b, ws;
+  lu.Solve(x, ws);
+  EXPECT_LT(SolveResidualInf(a, x, b), 1e-12);
+
+  const CscMatrix other = Tridiagonal(81);
+  lu.Factor(other);
+  EXPECT_EQ(lu.stats().ordering_reuse_count, 1u);  // new pattern: no reuse
+  lu.Factor(other);
+  EXPECT_EQ(lu.stats().ordering_reuse_count, 2u);
+}
+
+// The caller-workspace Refine overload improves (or at least does not
+// degrade) the residual without allocating in the caller's loop.
+TEST(SparseLu, RefineWithCallerWorkspace) {
+  util::Rng rng(11);
+  const CscMatrix a = Tridiagonal(60, 2.0, -1.0);
+  SparseLu lu;
+  lu.Factor(a);
+  const std::vector<double> b = RandomVector(60, rng);
+  std::vector<double> x = b, ws;
+  lu.Solve(x, ws);
+
+  std::vector<double> residual, solve_ws;
+  const double correction = lu.Refine(a, b, x, residual, solve_ws);
+  EXPECT_GE(correction, 0.0);
+  EXPECT_LT(SolveResidualInf(a, x, b), 1e-11);
+
+  // Convenience overload (thread-local scratch) matches.
+  std::vector<double> x2 = b;
+  lu.Solve(x2);
+  lu.Refine(a, b, x2);
+  EXPECT_LT(SolveResidualInf(a, x2, b), 1e-11);
+}
+
 TEST(SparseLu, OneByOne) {
   TripletBuilder t(1, 1);
   t.Add(0, 0, 5.0);

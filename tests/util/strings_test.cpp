@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace wavepipe::util {
 namespace {
 
@@ -50,6 +53,13 @@ struct SpiceNumberCase {
   const char* text;
   double expected;
 };
+
+// Prints the case as its input text.  Without this gtest prints the raw
+// bytes, pointer included, and the discovered ctest names change with every
+// load address.
+void PrintTo(const SpiceNumberCase& param, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(param.text));
+}
 
 class SpiceNumberTest : public ::testing::TestWithParam<SpiceNumberCase> {};
 

@@ -202,10 +202,24 @@ TEST(RunStatsJsonTest, SpecPolicyGroupExportsOnEveryEngine) {
 }
 
 TEST(RunStatsJsonTest, SchemaTagIsPinned) {
-  // v1.4 = v1.3 plus the appended batch-analysis group (batch.*).  Changing
-  // this string (or the key sets below) is a schema bump: update
-  // check_bench.py and the docs in trace_export.hpp alongside.
-  EXPECT_STREQ(kRunStatsSchema, "wavepipe.run_stats.v1.4");
+  // v2 = v1.4 minus the partition.* group, the lu.* level-scheduling keys
+  // and the partition / parallel_factor breaker lanes.  Changing this string
+  // (or the key sets below) is a schema bump: update check_bench.py and the
+  // docs in trace_export.hpp alongside.
+  EXPECT_STREQ(kRunStatsSchema, "wavepipe.run_stats.v2");
+  RunCounterInputs inputs;
+  const auto names = BuildRunCounters(inputs).Names();
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("partition.", 0), 0u) << name;
+  }
+  for (const char* removed :
+       {"lu.factor_levels", "lu.factor_widest_level", "lu.modeled_refactor_speedup2",
+        "lu.modeled_refactor_speedup4", "lu.parallel_refactors", "lu.refactor_fallbacks",
+        "lu.parallel_solves", "resilience.trips.partition",
+        "resilience.trips.parallel_factor"}) {
+    EXPECT_EQ(std::find(names.begin(), names.end(), removed), names.end()) << removed;
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), "lu.refactors"), names.end());
 }
 
 TEST(RunStatsJsonTest, ResilienceGroupExportsOnEveryEngine) {
@@ -225,8 +239,7 @@ TEST(RunStatsJsonTest, ResilienceGroupExportsOnEveryEngine) {
         "ckpt.resumed", "watchdog.stalls", "watchdog.escalations",
         "resilience.breaker_trips", "resilience.breaker_retrips",
         "resilience.breaker_reprobes", "resilience.trips.chord",
-        "resilience.trips.bypass", "resilience.trips.partition",
-        "resilience.trips.parallel_factor", "resilience.trips.parallel_assembly",
+        "resilience.trips.bypass", "resilience.trips.parallel_assembly",
         "resilience.budget_exhausted"}) {
     EXPECT_EQ(CounterValue(counters, key), 0.0) << key;
   }
@@ -247,9 +260,10 @@ TEST(RunStatsJsonTest, ResilienceGroupExportsOnEveryEngine) {
 }
 
 TEST(RunStatsJsonTest, OlderConsumersStillParseNewerDocuments) {
-  // The schema grows additively: every v1.1 key keeps its name and position,
-  // the v1.2 groups (ckpt./watchdog./resilience.) land strictly AFTER the
-  // last v1.1 group (ledger.*), the v1.3 group (reduce.*) lands strictly
+  // Apart from the v2 removals, the schema grew additively: every surviving
+  // v1.1 key keeps its name and relative position, the v1.2 groups
+  // (ckpt./watchdog./resilience.) land strictly AFTER the last v1.1 group
+  // (ledger.*), the v1.3 group (reduce.*) lands strictly
   // AFTER the last v1.2 key, and the v1.4 group (batch.*) lands strictly
   // AFTER the last v1.3 key.  A consumer of any older version that iterates
   // its own baseline keys therefore parses a newer document unchanged.  This
@@ -323,35 +337,6 @@ TEST(RunStatsJsonTest, ReduceGroupExportsOnEveryEngine) {
   const auto on_counters = BuildRunCounters(on_inputs);
   EXPECT_EQ(CounterValue(on_counters, "reduce.subnets"), 3.0);
   EXPECT_EQ(CounterValue(on_counters, "reduce.nodes_eliminated"), 17.0);
-}
-
-TEST(RunStatsJsonTest, PartitionGroupExportsOnEveryEngine) {
-  const auto gen = SmallDeck();
-  const engine::MnaStructure mna(*gen.circuit);
-
-  // Partition off (the default): the group is present with zero values, so
-  // the key set stays structurally identical whether or not BBD ran.
-  const auto off = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, {});
-  RunCounterInputs off_inputs;
-  off_inputs.stats = off.stats;
-  const auto off_counters = BuildRunCounters(off_inputs);
-  for (const char* key :
-       {"partition.pieces", "partition.interface_size", "partition.piece_imbalance",
-        "partition.full_factors", "partition.refactors", "partition.solves",
-        "partition.schur_factors", "partition.schur_nnz", "partition.schur_seconds"}) {
-    EXPECT_EQ(CounterValue(off_counters, key), 0.0) << key;
-  }
-
-  // Partition on: the serial engine populates the group.
-  engine::SimOptions sim;
-  sim.partition_pieces = 2;
-  const auto on = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, sim);
-  RunCounterInputs on_inputs;
-  on_inputs.stats = on.stats;
-  const auto on_counters = BuildRunCounters(on_inputs);
-  EXPECT_GE(CounterValue(on_counters, "partition.pieces"), 1.0);
-  EXPECT_GT(CounterValue(on_counters, "partition.solves"), 0.0);
-  EXPECT_GT(CounterValue(on_counters, "partition.full_factors"), 0.0);
 }
 
 TEST(RunStatsJsonTest, HeaderStringsAreEscaped) {

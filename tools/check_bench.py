@@ -16,9 +16,7 @@ baselines and fails (exit 1) when:
 
 Only DETERMINISTIC modeled metrics are gated.  Wall-clock numbers
 (`speedup`, `*_wall_seconds`, `*_seconds_per_pass`) vary with machine load
-and are reported but never gated; `barrier_model_speedup*` is a
-deliberately pessimistic contrast model (it gates the runtime serial
-fallback, not performance) and is likewise report-only.
+and are reported but never gated.
 
 A per-metric delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is
 set, into the job summary as GitHub-flavored markdown.  --report also writes
@@ -41,16 +39,13 @@ import os
 import sys
 import tempfile
 
-BENCH_FILES = ["BENCH_assembly.json", "BENCH_factor.json", "BENCH_bypass.json",
-               "BENCH_pipeline.json", "BENCH_partition.json",
-               "BENCH_resilience.json", "BENCH_reduction.json",
-               "BENCH_batch.json"]
+BENCH_FILES = ["BENCH_assembly.json", "BENCH_bypass.json",
+               "BENCH_pipeline.json", "BENCH_resilience.json",
+               "BENCH_reduction.json", "BENCH_batch.json"]
 
 # Numeric metrics gated on regression.  A metric is gated when its key path
 # matches one of these predicates; higher is better for all of them.
 GATED_KEY_SUBSTRINGS = [
-    "replay_speedup",            # BENCH_factor: list-scheduled DAG replay
-    "modeled_refactor_speedup",  # counter blocks: lu.* / sparse_lu.*
     "modeled_speedup",           # BENCH_pipeline: virtual-replay makespans
     "adaptive_over_fixed_ratio", # BENCH_pipeline: policy vs fixed scheduler
     "modeled_batch_speedup",     # BENCH_batch: shared-vs-cold sweep throughput
@@ -58,9 +53,8 @@ GATED_KEY_SUBSTRINGS = [
 
 # Metrics that *look* like speedups but must never gate.
 UNGATED_KEY_SUBSTRINGS = [
-    "barrier_model_speedup",  # pessimistic fallback-gate model, not perf
-    "wall",                   # anything wall-clock
-    "seconds_per_pass",       # measured on a possibly loaded machine
+    "wall",              # anything wall-clock
+    "seconds_per_pass",  # measured on a possibly loaded machine
 ]
 
 
@@ -236,7 +230,6 @@ def self_test():
     expect(is_gated("decks.mesh.modeled_batch_speedup"),
            "modeled_batch_speedup is gated")
     expect(not is_gated("decks.mesh.wall_seconds_shared"), "wall clock never gated")
-    expect(not is_gated("barrier_model_speedup"), "barrier model never gated")
 
     # compare_file: regression beyond tolerance fails, within passes.
     _, fails = compare_file("t", {"modeled_speedup": 2.0},

@@ -4,7 +4,7 @@
 //
 //   --engine pipeline|serial|finegrained  engine to run        (default pipeline)
 //   --scheme serial|bwp|fwp|combined   pipelining scheme       (default serial)
-//   --threads N                        worker threads          (default 3)
+//   --threads N                        worker threads          (default 3, max 256)
 //   --out FILE.csv                     write probed waveforms  (default stdout table off)
 //   --chart                            ASCII chart of the probes
 //   --stats                            print the run's counter registry
@@ -14,13 +14,9 @@
 //   --bypass                           enable the device latency bypass (off by default)
 //   --bypass-vtol X                    latency tolerance scale (default 1.0)
 //   --chord                            enable chord-Newton LU factor reuse
-//   --partition N                      bordered-block-diagonal solve with N
-//                                      pieces (0 = monolithic LU, default)
 //   --reduce                           eliminate linear-only subnetworks before
 //                                      analysis (exact Schur equivalents; probed
 //                                      interior nodes are back-substituted).
-//                                      Composes with --partition: reduce first,
-//                                      then partition the smaller system.
 //   --spec-policy fixed|adaptive       speculation policy       (default fixed)
 //   --spec-depth-min N                 adaptive chain depth lower bound (default 0:
 //                                      the controller may throttle speculation off)
@@ -43,6 +39,9 @@
 //   --no-share                         batch mode: rebuild symbolic work per
 //                                      variant (cold baseline, for benchmarking)
 //
+// Numeric flag values must be a whole in-range number: "3x", "1e3" for an
+// integer flag, or "5s" are usage errors, never silently truncated.
+//
 // Decks without .tran dispatch on the next analysis card: .dc (operating-
 // point sweep) then .ac (small-signal frequency sweep).
 //
@@ -54,13 +53,15 @@
 // 4 run incomplete (budget exhausted / watchdog / structured abort — partial
 // results and any final checkpoint were still written), 5 checkpoint error
 // (corrupt file or resume fingerprint mismatch).
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "batch/ac.hpp"
 #include "batch/dc_sweep.hpp"
@@ -85,6 +86,28 @@ namespace {
 
 enum class EngineKind { kPipeline, kSerial, kFineGrained };
 
+/// Upper bound on --threads: a typo such as `--threads 100000` is a usage
+/// error, not a request to start that many workers.
+constexpr int kMaxThreads = 256;
+
+/// Parses ALL of `text` as a number in [lo, hi] into `out`.  Returns false
+/// (leaving `out` untouched) on a missing value, any unconsumed character,
+/// overflow, NaN or an out-of-range value.
+template <typename T>
+bool ParseNumber(const char* text, T lo, T hi, T& out) {
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) return false;
+  out = value;
+  return true;
+}
+
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
 struct CliOptions {
   std::string deck_path;
   EngineKind engine = EngineKind::kPipeline;
@@ -102,7 +125,6 @@ struct CliOptions {
   bool bypass = false;
   double bypass_vtol = 1.0;
   bool chord = false;
-  int partition = 0;
   bool reduce = false;
   // Speculation policy: kFixed keeps the historical scheduler bit for bit.
   pipeline::SpecPolicyOptions spec_policy;
@@ -130,7 +152,7 @@ int Usage() {
                "[--threads N] [--out file.csv] [--chart] [--stats] "
                "[--stats-json file.json] [--trace-json file.json] "
                "[--compare-serial] [--bypass] [--bypass-vtol X] [--chord] "
-               "[--partition N] [--reduce] "
+               "[--reduce] "
                "[--spec-policy fixed|adaptive] [--spec-depth-min N] "
                "[--spec-depth-max N] "
                "[--checkpoint file.ckpt] [--checkpoint-steps N] "
@@ -165,10 +187,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       else if (!std::strcmp(v, "combined")) out->scheme = pipeline::Scheme::kCombined;
       else return false;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      out->threads = std::atoi(v);
-      if (out->threads < 1) return false;
+      if (!ParseNumber(next(), 1, kMaxThreads, out->threads)) return false;
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return false;
@@ -192,17 +211,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--no-bypass") {  // kept for symmetry; off is the default
       out->bypass = false;
     } else if (arg == "--bypass-vtol") {
-      const char* v = next();
-      if (!v) return false;
-      out->bypass_vtol = std::atof(v);
-      if (!(out->bypass_vtol > 0.0)) return false;
+      if (!ParseNumber(next(), std::numeric_limits<double>::min(), kMaxDouble,
+                       out->bypass_vtol)) {
+        return false;
+      }
     } else if (arg == "--chord") {
       out->chord = true;
-    } else if (arg == "--partition") {
-      const char* v = next();
-      if (!v) return false;
-      out->partition = std::atoi(v);
-      if (out->partition < 0) return false;
     } else if (arg == "--reduce") {
       out->reduce = true;
     } else if (arg == "--spec-policy") {
@@ -216,51 +230,31 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         return false;
       }
     } else if (arg == "--spec-depth-min") {
-      const char* v = next();
-      if (!v) return false;
-      out->spec_policy.min_depth = std::atoi(v);
-      if (out->spec_policy.min_depth < 0) return false;
+      if (!ParseNumber(next(), 0, kMaxInt, out->spec_policy.min_depth)) return false;
     } else if (arg == "--spec-depth-max") {
-      const char* v = next();
-      if (!v) return false;
-      out->spec_policy.max_depth = std::atoi(v);
-      if (out->spec_policy.max_depth < 1) return false;
+      if (!ParseNumber(next(), 1, kMaxInt, out->spec_policy.max_depth)) return false;
     } else if (arg == "--checkpoint") {
       const char* v = next();
       if (!v) return false;
       out->checkpoint_path = v;
     } else if (arg == "--checkpoint-steps") {
-      const char* v = next();
-      if (!v) return false;
-      const long long n = std::atoll(v);
-      if (n < 0) return false;
-      out->checkpoint_steps = static_cast<std::uint64_t>(n);
+      if (!ParseNumber(next(), std::uint64_t{0}, kMaxU64, out->checkpoint_steps)) {
+        return false;
+      }
     } else if (arg == "--checkpoint-seconds") {
-      const char* v = next();
-      if (!v) return false;
-      out->checkpoint_seconds = std::atof(v);
-      if (!(out->checkpoint_seconds >= 0.0)) return false;
+      if (!ParseNumber(next(), 0.0, kMaxDouble, out->checkpoint_seconds)) return false;
     } else if (arg == "--resume") {
       const char* v = next();
       if (!v) return false;
       out->resume_path = v;
     } else if (arg == "--max-wall") {
-      const char* v = next();
-      if (!v) return false;
-      out->max_wall = std::atof(v);
-      if (!(out->max_wall >= 0.0)) return false;
+      if (!ParseNumber(next(), 0.0, kMaxDouble, out->max_wall)) return false;
     } else if (arg == "--max-steps") {
-      const char* v = next();
-      if (!v) return false;
-      const long long n = std::atoll(v);
-      if (n < 0) return false;
-      out->max_steps = static_cast<std::uint64_t>(n);
+      if (!ParseNumber(next(), std::uint64_t{0}, kMaxU64, out->max_steps)) return false;
     } else if (arg == "--max-newton-total") {
-      const char* v = next();
-      if (!v) return false;
-      const long long n = std::atoll(v);
-      if (n < 0) return false;
-      out->max_newton_total = static_cast<std::uint64_t>(n);
+      if (!ParseNumber(next(), std::uint64_t{0}, kMaxU64, out->max_newton_total)) {
+        return false;
+      }
     } else if (arg == "--watchdog") {
       out->watchdog = true;
     } else if (arg == "--no-breakers") {
@@ -268,11 +262,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--sweep") {
       out->sweep = true;
     } else if (arg == "--mc-seed") {
-      const char* v = next();
-      if (!v) return false;
-      const long long n = std::atoll(v);
-      if (n < 0) return false;
-      out->mc_seed = static_cast<std::uint64_t>(n);
+      if (!ParseNumber(next(), std::uint64_t{0}, kMaxU64, out->mc_seed)) return false;
     } else if (arg == "--sweep-waveforms") {
       out->sweep_waveforms = true;
     } else if (arg == "--no-share") {
@@ -356,7 +346,6 @@ int RunBatchMode(const CliOptions& cli) {
   options.sim.device_bypass = cli.bypass;
   options.sim.bypass_vtol = cli.bypass_vtol;
   options.sim.chord_newton = cli.chord;
-  options.sim.partition_pieces = cli.partition;
 
   try {
     const batch::BatchResult result = batch::RunBatch(parsed, options);
@@ -464,7 +453,6 @@ int RunSingleSweepAnalysis(const CliOptions& cli,
     sim.device_bypass = cli.bypass;
     sim.bypass_vtol = cli.bypass_vtol;
     sim.chord_newton = cli.chord;
-    sim.partition_pieces = cli.partition;
 
     engine::Trace trace;
     std::string engine_name, axis;
@@ -595,7 +583,6 @@ int main(int argc, char** argv) {
     sim.device_bypass = cli.bypass;
     sim.bypass_vtol = cli.bypass_vtol;
     sim.chord_newton = cli.chord;
-    sim.partition_pieces = cli.partition;
     sim.resilience.checkpoint_path = cli.checkpoint_path;
     sim.resilience.checkpoint_every_steps = cli.checkpoint_steps;
     sim.resilience.checkpoint_every_seconds = cli.checkpoint_seconds;
